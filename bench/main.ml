@@ -29,8 +29,9 @@
    `--jobs` width.
 
    `--json [FILE]` additionally writes a machine-readable summary
-   (per-experiment wall-clock with a history of the last runs, estimated
-   speedup vs serial, pool scheduling counters, micro ns/run) to FILE,
+   (per-experiment wall-clock with a history of the last runs, every
+   simulation counter in total and per experiment, pool scheduling
+   counters, micro ns/run) to FILE,
    default `BENCH_<yyyy-mm-dd>.json`, so future changes have a perf
    trajectory to compare against. *)
 
@@ -157,6 +158,18 @@ let churn_events_per_sec backend =
   let ops = n + tel.Sim.Engine.cancels_reclaimed + tel.Sim.Engine.events_fired in
   if dt > 0.0 then float_of_int ops /. dt else 0.0
 
+(* The sum of every experiment's counters. *)
+let counters_total counters =
+  let total = Metrics.Stats.create () in
+  List.iter (fun (_, s) -> Metrics.Stats.add total s) counters;
+  total
+
+(* One [Stats.t] as a JSON object, keys in [Stats.fields] order. *)
+let stats_json s =
+  Metrics.Stats.fields s
+  |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v)
+  |> String.concat ", " |> Printf.sprintf "{%s}"
+
 let write_json ~file ~scale r =
   (* Read the comparison baseline from the real file, then write to a
      temp file and rename over it: a crash mid-write never leaves a
@@ -175,100 +188,28 @@ let write_json ~file ~scale r =
   out "  \"date\": \"%s\",\n" (today ());
   out "  \"scale\": %g,\n" scale;
   out "  \"jobs\": %d,\n" r.jobs;
-  let serial_s =
-    List.fold_left (fun acc (_, s, _, _) -> acc +. s) 0.0 r.experiments
-  in
   out "  \"total_wall_s\": %.3f,\n" r.total_wall_s;
-  out "  \"serial_equivalent_s\": %.3f,\n" serial_s;
-  out "  \"speedup_vs_serial\": %.3f,\n"
-    (if r.total_wall_s > 0.0 then serial_s /. r.total_wall_s else 1.0);
-  let d = Experiments.Exp.disk_totals () in
-  out
-    "  \"disk\": {\"read_batches\": %d, \"batched_reads\": %d, \
-     \"coalesced_reads\": %d, \"mean_batch_sectors\": %.1f},\n"
-    d.Experiments.Exp.batches d.Experiments.Exp.reads
-    (d.Experiments.Exp.reads - d.Experiments.Exp.batches)
-    (if d.Experiments.Exp.batches > 0 then
-       float_of_int d.Experiments.Exp.batch_sectors
-       /. float_of_int d.Experiments.Exp.batches
-     else 0.0);
-  let f = Experiments.Exp.fault_totals () in
-  out
-    "  \"faults\": {\"injected\": %d, \"retried\": %d, \"degraded\": %d, \
-     \"killed\": %d, \"destage_lost\": %d, \"destage_retried\": %d},\n"
-    f.Experiments.Exp.injected f.Experiments.Exp.retried
-    f.Experiments.Exp.degraded f.Experiments.Exp.killed
-    f.Experiments.Exp.destage_lost f.Experiments.Exp.destage_retried;
-  let a = Experiments.Exp.async_totals () in
-  out
-    "  \"async\": {\"waiter_merges\": %d, \"faults_deferred\": %d, \
-     \"inflight_highwater\": %d},\n"
-    a.Experiments.Exp.waiter_merges a.Experiments.Exp.deferred
-    a.Experiments.Exp.inflight_highwater;
-  out
-    "  \"queues\": {\"mq_batches\": %d, \"depth_highwater\": %d},\n"
-    a.Experiments.Exp.mq_batches a.Experiments.Exp.queue_depth_highwater;
-  let tt = Experiments.Exp.tier_totals () in
-  out
-    "  \"tiers\": {\"admissions\": %d, \"rejects\": %d, \"promotions\": %d, \
-     \"demotions\": %d, \"writeback_sectors\": %d, \"fast_swapins\": %d, \
-     \"slow_swapins\": %d, \"fast_swapin_us\": %d, \"slow_swapin_us\": %d},\n"
-    tt.Experiments.Exp.admissions tt.Experiments.Exp.rejects
-    tt.Experiments.Exp.promotions tt.Experiments.Exp.demotions
-    tt.Experiments.Exp.writeback_sectors tt.Experiments.Exp.fast_swapins
-    tt.Experiments.Exp.slow_swapins tt.Experiments.Exp.fast_swapin_us
-    tt.Experiments.Exp.slow_swapin_us;
-  let r2 = Experiments.Exp.resilience2_totals () in
-  out
-    "  \"resilience2\": {\"scrub_scans\": %d, \"scrub_verify_reads\": %d, \
-     \"scrub_media_found\": %d, \"scrub_relocations\": %d, \
-     \"scrub_reloc_failed\": %d, \"qos_throttled\": %d, \
-     \"qos_throttle_wait_us\": %d, \"tier_degraded\": %d, \
-     \"tier_recovered\": %d, \"tier_failover_routes\": %d, \
-     \"media_reads\": %d, \"pages_lost\": %d},\n"
-    r2.Experiments.Exp.scrub_scans r2.Experiments.Exp.scrub_verify_reads
-    r2.Experiments.Exp.scrub_media_found r2.Experiments.Exp.scrub_relocations
-    r2.Experiments.Exp.scrub_reloc_failed r2.Experiments.Exp.qos_throttled
-    r2.Experiments.Exp.qos_throttle_wait_us
-    r2.Experiments.Exp.tier_degraded_events
-    r2.Experiments.Exp.tier_recovered_events
-    r2.Experiments.Exp.tier_failover_routes r2.Experiments.Exp.media_reads
-    r2.Experiments.Exp.pages_lost;
-  (* Engine section: lifetime totals of the event engine's hot path, a
-     schedule+cancel churn microbench on both backends (so every summary
-     records the wheel-vs-heap throughput on this machine), and fired
-     events per experiment normalized by its wall-clock. *)
-  let et = Experiments.Exp.engine_totals () in
+  (* Counters section: the total plus one object per experiment id, each
+     with every [Stats.fields] entry. *)
+  let counters = Experiments.Exp.counters () in
+  out "  \"counters\": {\n    \"total\": %s"
+    (stats_json (counters_total counters));
+  List.iter
+    (fun (id, s) -> out ",\n    \"%s\": %s" (json_escape id) (stats_json s))
+    counters;
+  out "\n  },\n";
+  (* Engine section: the default backend and a schedule+cancel churn
+     microbench on both backends, so every summary records the
+     wheel-vs-heap throughput on this machine. *)
   let wheel_cps = churn_events_per_sec Sim.Engine.Wheel in
   let heap_cps = churn_events_per_sec Sim.Engine.Heap in
   out
-    "  \"engine\": {\"backend\": \"%s\", \"events_fired\": %d, \
-     \"cancels_reclaimed\": %d, \"cascades\": %d,\n"
+    "  \"engine\": {\"backend\": \"%s\",\n\
+    \    \"churn\": {\"wheel_events_per_sec\": %.0f, \
+     \"heap_events_per_sec\": %.0f, \"wheel_speedup\": %.2f}},\n"
     (Sim.Engine.backend_name (Sim.Engine.default_backend ()))
-    et.Experiments.Exp.fired et.Experiments.Exp.cancels_reclaimed
-    et.Experiments.Exp.cascades;
-  out
-    "    \"churn\": {\"wheel_events_per_sec\": %.0f, \
-     \"heap_events_per_sec\": %.0f, \"wheel_speedup\": %.2f},\n"
     wheel_cps heap_cps
     (if heap_cps > 0.0 then wheel_cps /. heap_cps else 0.0);
-  let per_exp = Experiments.Exp.exp_engine_events () in
-  out "    \"per_experiment\": [";
-  List.iteri
-    (fun i (id, events) ->
-      let wall =
-        match
-          List.find_opt (fun (id', _, _, _) -> id' = id) r.experiments
-        with
-        | Some (_, w, _, _) -> w
-        | None -> 0.0
-      in
-      out "%s\n      {\"id\": \"%s\", \"events\": %d, \"events_per_sec\": %.0f}"
-        (if i = 0 then "" else ",")
-        (json_escape id) events
-        (if wall > 0.0 then float_of_int events /. wall else 0.0))
-    per_exp;
-  out "\n    ]},\n";
   (* Memory section: the writing domain's GC counters (worker-domain
      allocation shows up per experiment below, not here) and the live /
      peak heap after a full major — the footprint the flat metadata
@@ -417,16 +358,16 @@ let run_experiments ~record ids =
               o.Experiments.Registry.alloc_words );
           ])
     outcomes;
-  let d = Experiments.Exp.disk_totals () in
-  if d.Experiments.Exp.batches > 0 then
+  let t = counters_total (Experiments.Exp.counters ()) in
+  let reads = t.Metrics.Stats.disk_batched_reads
+  and batches = t.Metrics.Stats.disk_read_batches in
+  if batches > 0 then
     Printf.printf
       "[disk queue: %d media reads served in %d batches (%d coalesced away), \
        mean span %.1f sectors]\n\n\
        %!"
-      d.Experiments.Exp.reads d.Experiments.Exp.batches
-      (d.Experiments.Exp.reads - d.Experiments.Exp.batches)
-      (float_of_int d.Experiments.Exp.batch_sectors
-      /. float_of_int d.Experiments.Exp.batches)
+      reads batches (reads - batches)
+      (float_of_int t.Metrics.Stats.disk_batch_sectors /. float_of_int batches)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmark mode                                        *)

@@ -534,14 +534,7 @@ let run ?pool (cfg : config) =
   let totals = Metrics.Stats.create () in
   Array.iter
     (fun shard ->
-      let tel = Sim.Engine.telemetry shard.engine in
-      shard.stats.Metrics.Stats.engine_events_fired <-
-        shard.stats.Metrics.Stats.engine_events_fired + tel.events_fired;
-      shard.stats.Metrics.Stats.engine_cancels_reclaimed <-
-        shard.stats.Metrics.Stats.engine_cancels_reclaimed
-        + tel.cancels_reclaimed;
-      shard.stats.Metrics.Stats.engine_cascades <-
-        shard.stats.Metrics.Stats.engine_cascades + tel.cascades;
+      Metrics.Stats.set_engine shard.stats (Sim.Engine.telemetry shard.engine);
       Metrics.Stats.add totals shard.stats)
     shards;
   let fingerprint =

@@ -44,7 +44,7 @@ let domain_alloc_words () =
 let run_one ~scale (e : Exp.t) =
   let t0 = Unix.gettimeofday () in
   let a0 = domain_alloc_words () in
-  (* The tag scopes engine-telemetry attribution to this experiment; the
+  (* The tag scopes counter attribution to this experiment; the
      sharded inner loops propagate it to their pool sub-jobs. *)
   let output =
     try Ok (Exp.with_exp_tag (Some e.Exp.id) (fun () -> e.Exp.run ~scale))

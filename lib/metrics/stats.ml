@@ -149,264 +149,183 @@ let create () =
 
 let copy t = { t with disk_ops = t.disk_ops }
 
-let diff a b =
-  {
-    disk_ops = a.disk_ops - b.disk_ops;
-    disk_sectors_read = a.disk_sectors_read - b.disk_sectors_read;
-    disk_sectors_written = a.disk_sectors_written - b.disk_sectors_written;
-    disk_seq_reads = a.disk_seq_reads - b.disk_seq_reads;
-    disk_read_batches = a.disk_read_batches - b.disk_read_batches;
-    disk_batched_reads = a.disk_batched_reads - b.disk_batched_reads;
-    disk_batch_sectors = a.disk_batch_sectors - b.disk_batch_sectors;
-    disk_mq_batches = a.disk_mq_batches - b.disk_mq_batches;
-    disk_queue_depth_highwater =
-      a.disk_queue_depth_highwater - b.disk_queue_depth_highwater;
-    swap_sectors_read = a.swap_sectors_read - b.swap_sectors_read;
-    swap_sectors_written = a.swap_sectors_written - b.swap_sectors_written;
-    host_swapins = a.host_swapins - b.host_swapins;
-    host_swapouts = a.host_swapouts - b.host_swapouts;
-    silent_swap_writes = a.silent_swap_writes - b.silent_swap_writes;
-    stale_reads = a.stale_reads - b.stale_reads;
-    false_reads = a.false_reads - b.false_reads;
-    hypervisor_code_faults =
-      a.hypervisor_code_faults - b.hypervisor_code_faults;
-    host_context_faults = a.host_context_faults - b.host_context_faults;
-    guest_context_faults = a.guest_context_faults - b.guest_context_faults;
-    pages_scanned = a.pages_scanned - b.pages_scanned;
-    guest_swapins = a.guest_swapins - b.guest_swapins;
-    guest_swapouts = a.guest_swapouts - b.guest_swapouts;
-    guest_major_faults = a.guest_major_faults - b.guest_major_faults;
-    oom_kills = a.oom_kills - b.oom_kills;
-    mapper_tracked = a.mapper_tracked - b.mapper_tracked;
-    mapper_discards = a.mapper_discards - b.mapper_discards;
-    mapper_refetches = a.mapper_refetches - b.mapper_refetches;
-    mapper_invalidations = a.mapper_invalidations - b.mapper_invalidations;
-    preventer_remaps = a.preventer_remaps - b.preventer_remaps;
-    preventer_merges = a.preventer_merges - b.preventer_merges;
-    preventer_timeouts = a.preventer_timeouts - b.preventer_timeouts;
-    preventer_rejects = a.preventer_rejects - b.preventer_rejects;
-    balloon_inflated_pages =
-      a.balloon_inflated_pages - b.balloon_inflated_pages;
-    balloon_deflated_pages =
-      a.balloon_deflated_pages - b.balloon_deflated_pages;
-    faults_injected_media = a.faults_injected_media - b.faults_injected_media;
-    faults_injected_transient =
-      a.faults_injected_transient - b.faults_injected_transient;
-    faults_degraded_batches =
-      a.faults_degraded_batches - b.faults_degraded_batches;
-    fault_retries = a.fault_retries - b.fault_retries;
-    fault_retry_exhausted = a.fault_retry_exhausted - b.fault_retry_exhausted;
-    fault_guest_kills = a.fault_guest_kills - b.fault_guest_kills;
-    destage_media_errors = a.destage_media_errors - b.destage_media_errors;
-    destage_transient_retries =
-      a.destage_transient_retries - b.destage_transient_retries;
-    swap_full_fallbacks = a.swap_full_fallbacks - b.swap_full_fallbacks;
-    emergency_steals = a.emergency_steals - b.emergency_steals;
-    async_waiter_merges = a.async_waiter_merges - b.async_waiter_merges;
-    async_faults_deferred = a.async_faults_deferred - b.async_faults_deferred;
-    async_inflight_highwater =
-      a.async_inflight_highwater - b.async_inflight_highwater;
-    engine_events_fired = a.engine_events_fired - b.engine_events_fired;
-    engine_cancels_reclaimed =
-      a.engine_cancels_reclaimed - b.engine_cancels_reclaimed;
-    engine_cascades = a.engine_cascades - b.engine_cascades;
-    tier_admissions = a.tier_admissions - b.tier_admissions;
-    tier_rejects = a.tier_rejects - b.tier_rejects;
-    tier_promotions = a.tier_promotions - b.tier_promotions;
-    tier_demotions = a.tier_demotions - b.tier_demotions;
-    tier_writeback_sectors =
-      a.tier_writeback_sectors - b.tier_writeback_sectors;
-    tier_fast_swapins = a.tier_fast_swapins - b.tier_fast_swapins;
-    tier_slow_swapins = a.tier_slow_swapins - b.tier_slow_swapins;
-    tier_fast_swapin_us = a.tier_fast_swapin_us - b.tier_fast_swapin_us;
-    tier_slow_swapin_us = a.tier_slow_swapin_us - b.tier_slow_swapin_us;
-    scrub_scans = a.scrub_scans - b.scrub_scans;
-    scrub_verify_reads = a.scrub_verify_reads - b.scrub_verify_reads;
-    scrub_media_found = a.scrub_media_found - b.scrub_media_found;
-    scrub_relocations = a.scrub_relocations - b.scrub_relocations;
-    scrub_reloc_failed = a.scrub_reloc_failed - b.scrub_reloc_failed;
-    qos_throttled = a.qos_throttled - b.qos_throttled;
-    qos_throttle_wait_us = a.qos_throttle_wait_us - b.qos_throttle_wait_us;
-    tier_degraded_events = a.tier_degraded_events - b.tier_degraded_events;
-    tier_recovered_events = a.tier_recovered_events - b.tier_recovered_events;
-    tier_failover_routes = a.tier_failover_routes - b.tier_failover_routes;
-    fault_media_reads = a.fault_media_reads - b.fault_media_reads;
-    fault_pages_lost = a.fault_pages_lost - b.fault_pages_lost;
-  }
-
-(* In-place [dst += src].  Every counter is a plain sum except the two
-   highwater gauges, which merge with max: "deepest queue on any host"
-   is the meaningful fleet-wide reading, and max keeps the merge
+(* How two readings of one counter merge in [add]: plain counters sum;
+   the highwater gauges take the max.  "Deepest queue on any host" is
+   the meaningful fleet-wide reading, and max keeps the merge
    order-independent so barrier reductions stay deterministic. *)
-let add dst src =
-  dst.disk_ops <- dst.disk_ops + src.disk_ops;
-  dst.disk_sectors_read <- dst.disk_sectors_read + src.disk_sectors_read;
-  dst.disk_sectors_written <-
-    dst.disk_sectors_written + src.disk_sectors_written;
-  dst.disk_seq_reads <- dst.disk_seq_reads + src.disk_seq_reads;
-  dst.disk_read_batches <- dst.disk_read_batches + src.disk_read_batches;
-  dst.disk_batched_reads <- dst.disk_batched_reads + src.disk_batched_reads;
-  dst.disk_batch_sectors <- dst.disk_batch_sectors + src.disk_batch_sectors;
-  dst.disk_mq_batches <- dst.disk_mq_batches + src.disk_mq_batches;
-  dst.disk_queue_depth_highwater <-
-    max dst.disk_queue_depth_highwater src.disk_queue_depth_highwater;
-  dst.swap_sectors_read <- dst.swap_sectors_read + src.swap_sectors_read;
-  dst.swap_sectors_written <-
-    dst.swap_sectors_written + src.swap_sectors_written;
-  dst.host_swapins <- dst.host_swapins + src.host_swapins;
-  dst.host_swapouts <- dst.host_swapouts + src.host_swapouts;
-  dst.silent_swap_writes <- dst.silent_swap_writes + src.silent_swap_writes;
-  dst.stale_reads <- dst.stale_reads + src.stale_reads;
-  dst.false_reads <- dst.false_reads + src.false_reads;
-  dst.hypervisor_code_faults <-
-    dst.hypervisor_code_faults + src.hypervisor_code_faults;
-  dst.host_context_faults <- dst.host_context_faults + src.host_context_faults;
-  dst.guest_context_faults <-
-    dst.guest_context_faults + src.guest_context_faults;
-  dst.pages_scanned <- dst.pages_scanned + src.pages_scanned;
-  dst.guest_swapins <- dst.guest_swapins + src.guest_swapins;
-  dst.guest_swapouts <- dst.guest_swapouts + src.guest_swapouts;
-  dst.guest_major_faults <- dst.guest_major_faults + src.guest_major_faults;
-  dst.oom_kills <- dst.oom_kills + src.oom_kills;
-  dst.mapper_tracked <- dst.mapper_tracked + src.mapper_tracked;
-  dst.mapper_discards <- dst.mapper_discards + src.mapper_discards;
-  dst.mapper_refetches <- dst.mapper_refetches + src.mapper_refetches;
-  dst.mapper_invalidations <-
-    dst.mapper_invalidations + src.mapper_invalidations;
-  dst.preventer_remaps <- dst.preventer_remaps + src.preventer_remaps;
-  dst.preventer_merges <- dst.preventer_merges + src.preventer_merges;
-  dst.preventer_timeouts <- dst.preventer_timeouts + src.preventer_timeouts;
-  dst.preventer_rejects <- dst.preventer_rejects + src.preventer_rejects;
-  dst.balloon_inflated_pages <-
-    dst.balloon_inflated_pages + src.balloon_inflated_pages;
-  dst.balloon_deflated_pages <-
-    dst.balloon_deflated_pages + src.balloon_deflated_pages;
-  dst.faults_injected_media <-
-    dst.faults_injected_media + src.faults_injected_media;
-  dst.faults_injected_transient <-
-    dst.faults_injected_transient + src.faults_injected_transient;
-  dst.faults_degraded_batches <-
-    dst.faults_degraded_batches + src.faults_degraded_batches;
-  dst.fault_retries <- dst.fault_retries + src.fault_retries;
-  dst.fault_retry_exhausted <-
-    dst.fault_retry_exhausted + src.fault_retry_exhausted;
-  dst.fault_guest_kills <- dst.fault_guest_kills + src.fault_guest_kills;
-  dst.destage_media_errors <-
-    dst.destage_media_errors + src.destage_media_errors;
-  dst.destage_transient_retries <-
-    dst.destage_transient_retries + src.destage_transient_retries;
-  dst.swap_full_fallbacks <- dst.swap_full_fallbacks + src.swap_full_fallbacks;
-  dst.emergency_steals <- dst.emergency_steals + src.emergency_steals;
-  dst.async_waiter_merges <- dst.async_waiter_merges + src.async_waiter_merges;
-  dst.async_faults_deferred <-
-    dst.async_faults_deferred + src.async_faults_deferred;
-  dst.async_inflight_highwater <-
-    max dst.async_inflight_highwater src.async_inflight_highwater;
-  dst.engine_events_fired <- dst.engine_events_fired + src.engine_events_fired;
-  dst.engine_cancels_reclaimed <-
-    dst.engine_cancels_reclaimed + src.engine_cancels_reclaimed;
-  dst.engine_cascades <- dst.engine_cascades + src.engine_cascades;
-  dst.tier_admissions <- dst.tier_admissions + src.tier_admissions;
-  dst.tier_rejects <- dst.tier_rejects + src.tier_rejects;
-  dst.tier_promotions <- dst.tier_promotions + src.tier_promotions;
-  dst.tier_demotions <- dst.tier_demotions + src.tier_demotions;
-  dst.tier_writeback_sectors <-
-    dst.tier_writeback_sectors + src.tier_writeback_sectors;
-  dst.tier_fast_swapins <- dst.tier_fast_swapins + src.tier_fast_swapins;
-  dst.tier_slow_swapins <- dst.tier_slow_swapins + src.tier_slow_swapins;
-  dst.tier_fast_swapin_us <- dst.tier_fast_swapin_us + src.tier_fast_swapin_us;
-  dst.tier_slow_swapin_us <- dst.tier_slow_swapin_us + src.tier_slow_swapin_us;
-  dst.scrub_scans <- dst.scrub_scans + src.scrub_scans;
-  dst.scrub_verify_reads <- dst.scrub_verify_reads + src.scrub_verify_reads;
-  dst.scrub_media_found <- dst.scrub_media_found + src.scrub_media_found;
-  dst.scrub_relocations <- dst.scrub_relocations + src.scrub_relocations;
-  dst.scrub_reloc_failed <- dst.scrub_reloc_failed + src.scrub_reloc_failed;
-  dst.qos_throttled <- dst.qos_throttled + src.qos_throttled;
-  dst.qos_throttle_wait_us <-
-    dst.qos_throttle_wait_us + src.qos_throttle_wait_us;
-  dst.tier_degraded_events <-
-    dst.tier_degraded_events + src.tier_degraded_events;
-  dst.tier_recovered_events <-
-    dst.tier_recovered_events + src.tier_recovered_events;
-  dst.tier_failover_routes <-
-    dst.tier_failover_routes + src.tier_failover_routes;
-  dst.fault_media_reads <- dst.fault_media_reads + src.fault_media_reads;
-  dst.fault_pages_lost <- dst.fault_pages_lost + src.fault_pages_lost
+type merge = Sum | Max
 
-let fields t =
+type field = {
+  name : string;
+  get : t -> int;
+  set : t -> int -> unit;
+  merge : merge;
+}
+
+let sum name get set = { name; get; set; merge = Sum }
+let gauge name get set = { name; get; set; merge = Max }
+
+(* The one counter table, in declaration order: [fields], [diff] and
+   [add] are all derived from it. *)
+let table =
   [
-    ("disk_ops", t.disk_ops);
-    ("disk_sectors_read", t.disk_sectors_read);
-    ("disk_sectors_written", t.disk_sectors_written);
-    ("disk_seq_reads", t.disk_seq_reads);
-    ("disk_read_batches", t.disk_read_batches);
-    ("disk_batched_reads", t.disk_batched_reads);
-    ("disk_batch_sectors", t.disk_batch_sectors);
-    ("disk_mq_batches", t.disk_mq_batches);
-    ("disk_queue_depth_highwater", t.disk_queue_depth_highwater);
-    ("swap_sectors_read", t.swap_sectors_read);
-    ("swap_sectors_written", t.swap_sectors_written);
-    ("host_swapins", t.host_swapins);
-    ("host_swapouts", t.host_swapouts);
-    ("silent_swap_writes", t.silent_swap_writes);
-    ("stale_reads", t.stale_reads);
-    ("false_reads", t.false_reads);
-    ("hypervisor_code_faults", t.hypervisor_code_faults);
-    ("host_context_faults", t.host_context_faults);
-    ("guest_context_faults", t.guest_context_faults);
-    ("pages_scanned", t.pages_scanned);
-    ("guest_swapins", t.guest_swapins);
-    ("guest_swapouts", t.guest_swapouts);
-    ("guest_major_faults", t.guest_major_faults);
-    ("oom_kills", t.oom_kills);
-    ("mapper_tracked", t.mapper_tracked);
-    ("mapper_discards", t.mapper_discards);
-    ("mapper_refetches", t.mapper_refetches);
-    ("mapper_invalidations", t.mapper_invalidations);
-    ("preventer_remaps", t.preventer_remaps);
-    ("preventer_merges", t.preventer_merges);
-    ("preventer_timeouts", t.preventer_timeouts);
-    ("preventer_rejects", t.preventer_rejects);
-    ("balloon_inflated_pages", t.balloon_inflated_pages);
-    ("balloon_deflated_pages", t.balloon_deflated_pages);
-    ("faults_injected_media", t.faults_injected_media);
-    ("faults_injected_transient", t.faults_injected_transient);
-    ("faults_degraded_batches", t.faults_degraded_batches);
-    ("fault_retries", t.fault_retries);
-    ("fault_retry_exhausted", t.fault_retry_exhausted);
-    ("fault_guest_kills", t.fault_guest_kills);
-    ("destage_media_errors", t.destage_media_errors);
-    ("destage_transient_retries", t.destage_transient_retries);
-    ("swap_full_fallbacks", t.swap_full_fallbacks);
-    ("emergency_steals", t.emergency_steals);
-    ("async_waiter_merges", t.async_waiter_merges);
-    ("async_faults_deferred", t.async_faults_deferred);
-    ("async_inflight_highwater", t.async_inflight_highwater);
-    ("engine_events_fired", t.engine_events_fired);
-    ("engine_cancels_reclaimed", t.engine_cancels_reclaimed);
-    ("engine_cascades", t.engine_cascades);
-    ("tier_admissions", t.tier_admissions);
-    ("tier_rejects", t.tier_rejects);
-    ("tier_promotions", t.tier_promotions);
-    ("tier_demotions", t.tier_demotions);
-    ("tier_writeback_sectors", t.tier_writeback_sectors);
-    ("tier_fast_swapins", t.tier_fast_swapins);
-    ("tier_slow_swapins", t.tier_slow_swapins);
-    ("tier_fast_swapin_us", t.tier_fast_swapin_us);
-    ("tier_slow_swapin_us", t.tier_slow_swapin_us);
-    ("scrub_scans", t.scrub_scans);
-    ("scrub_verify_reads", t.scrub_verify_reads);
-    ("scrub_media_found", t.scrub_media_found);
-    ("scrub_relocations", t.scrub_relocations);
-    ("scrub_reloc_failed", t.scrub_reloc_failed);
-    ("qos_throttled", t.qos_throttled);
-    ("qos_throttle_wait_us", t.qos_throttle_wait_us);
-    ("tier_degraded_events", t.tier_degraded_events);
-    ("tier_recovered_events", t.tier_recovered_events);
-    ("tier_failover_routes", t.tier_failover_routes);
-    ("fault_media_reads", t.fault_media_reads);
-    ("fault_pages_lost", t.fault_pages_lost);
+    sum "disk_ops" (fun t -> t.disk_ops) (fun t v -> t.disk_ops <- v);
+    sum "disk_sectors_read" (fun t -> t.disk_sectors_read)
+      (fun t v -> t.disk_sectors_read <- v);
+    sum "disk_sectors_written" (fun t -> t.disk_sectors_written)
+      (fun t v -> t.disk_sectors_written <- v);
+    sum "disk_seq_reads" (fun t -> t.disk_seq_reads)
+      (fun t v -> t.disk_seq_reads <- v);
+    sum "disk_read_batches" (fun t -> t.disk_read_batches)
+      (fun t v -> t.disk_read_batches <- v);
+    sum "disk_batched_reads" (fun t -> t.disk_batched_reads)
+      (fun t v -> t.disk_batched_reads <- v);
+    sum "disk_batch_sectors" (fun t -> t.disk_batch_sectors)
+      (fun t v -> t.disk_batch_sectors <- v);
+    sum "disk_mq_batches" (fun t -> t.disk_mq_batches)
+      (fun t v -> t.disk_mq_batches <- v);
+    gauge "disk_queue_depth_highwater" (fun t -> t.disk_queue_depth_highwater)
+      (fun t v -> t.disk_queue_depth_highwater <- v);
+    sum "swap_sectors_read" (fun t -> t.swap_sectors_read)
+      (fun t v -> t.swap_sectors_read <- v);
+    sum "swap_sectors_written" (fun t -> t.swap_sectors_written)
+      (fun t v -> t.swap_sectors_written <- v);
+    sum "host_swapins" (fun t -> t.host_swapins)
+      (fun t v -> t.host_swapins <- v);
+    sum "host_swapouts" (fun t -> t.host_swapouts)
+      (fun t v -> t.host_swapouts <- v);
+    sum "silent_swap_writes" (fun t -> t.silent_swap_writes)
+      (fun t v -> t.silent_swap_writes <- v);
+    sum "stale_reads" (fun t -> t.stale_reads) (fun t v -> t.stale_reads <- v);
+    sum "false_reads" (fun t -> t.false_reads) (fun t v -> t.false_reads <- v);
+    sum "hypervisor_code_faults" (fun t -> t.hypervisor_code_faults)
+      (fun t v -> t.hypervisor_code_faults <- v);
+    sum "host_context_faults" (fun t -> t.host_context_faults)
+      (fun t v -> t.host_context_faults <- v);
+    sum "guest_context_faults" (fun t -> t.guest_context_faults)
+      (fun t v -> t.guest_context_faults <- v);
+    sum "pages_scanned" (fun t -> t.pages_scanned)
+      (fun t v -> t.pages_scanned <- v);
+    sum "guest_swapins" (fun t -> t.guest_swapins)
+      (fun t v -> t.guest_swapins <- v);
+    sum "guest_swapouts" (fun t -> t.guest_swapouts)
+      (fun t v -> t.guest_swapouts <- v);
+    sum "guest_major_faults" (fun t -> t.guest_major_faults)
+      (fun t v -> t.guest_major_faults <- v);
+    sum "oom_kills" (fun t -> t.oom_kills) (fun t v -> t.oom_kills <- v);
+    sum "mapper_tracked" (fun t -> t.mapper_tracked)
+      (fun t v -> t.mapper_tracked <- v);
+    sum "mapper_discards" (fun t -> t.mapper_discards)
+      (fun t v -> t.mapper_discards <- v);
+    sum "mapper_refetches" (fun t -> t.mapper_refetches)
+      (fun t v -> t.mapper_refetches <- v);
+    sum "mapper_invalidations" (fun t -> t.mapper_invalidations)
+      (fun t v -> t.mapper_invalidations <- v);
+    sum "preventer_remaps" (fun t -> t.preventer_remaps)
+      (fun t v -> t.preventer_remaps <- v);
+    sum "preventer_merges" (fun t -> t.preventer_merges)
+      (fun t v -> t.preventer_merges <- v);
+    sum "preventer_timeouts" (fun t -> t.preventer_timeouts)
+      (fun t v -> t.preventer_timeouts <- v);
+    sum "preventer_rejects" (fun t -> t.preventer_rejects)
+      (fun t v -> t.preventer_rejects <- v);
+    sum "balloon_inflated_pages" (fun t -> t.balloon_inflated_pages)
+      (fun t v -> t.balloon_inflated_pages <- v);
+    sum "balloon_deflated_pages" (fun t -> t.balloon_deflated_pages)
+      (fun t v -> t.balloon_deflated_pages <- v);
+    sum "faults_injected_media" (fun t -> t.faults_injected_media)
+      (fun t v -> t.faults_injected_media <- v);
+    sum "faults_injected_transient" (fun t -> t.faults_injected_transient)
+      (fun t v -> t.faults_injected_transient <- v);
+    sum "faults_degraded_batches" (fun t -> t.faults_degraded_batches)
+      (fun t v -> t.faults_degraded_batches <- v);
+    sum "fault_retries" (fun t -> t.fault_retries)
+      (fun t v -> t.fault_retries <- v);
+    sum "fault_retry_exhausted" (fun t -> t.fault_retry_exhausted)
+      (fun t v -> t.fault_retry_exhausted <- v);
+    sum "fault_guest_kills" (fun t -> t.fault_guest_kills)
+      (fun t v -> t.fault_guest_kills <- v);
+    sum "destage_media_errors" (fun t -> t.destage_media_errors)
+      (fun t v -> t.destage_media_errors <- v);
+    sum "destage_transient_retries" (fun t -> t.destage_transient_retries)
+      (fun t v -> t.destage_transient_retries <- v);
+    sum "swap_full_fallbacks" (fun t -> t.swap_full_fallbacks)
+      (fun t v -> t.swap_full_fallbacks <- v);
+    sum "emergency_steals" (fun t -> t.emergency_steals)
+      (fun t v -> t.emergency_steals <- v);
+    sum "async_waiter_merges" (fun t -> t.async_waiter_merges)
+      (fun t v -> t.async_waiter_merges <- v);
+    sum "async_faults_deferred" (fun t -> t.async_faults_deferred)
+      (fun t v -> t.async_faults_deferred <- v);
+    gauge "async_inflight_highwater" (fun t -> t.async_inflight_highwater)
+      (fun t v -> t.async_inflight_highwater <- v);
+    sum "engine_events_fired" (fun t -> t.engine_events_fired)
+      (fun t v -> t.engine_events_fired <- v);
+    sum "engine_cancels_reclaimed" (fun t -> t.engine_cancels_reclaimed)
+      (fun t v -> t.engine_cancels_reclaimed <- v);
+    sum "engine_cascades" (fun t -> t.engine_cascades)
+      (fun t v -> t.engine_cascades <- v);
+    sum "tier_admissions" (fun t -> t.tier_admissions)
+      (fun t v -> t.tier_admissions <- v);
+    sum "tier_rejects" (fun t -> t.tier_rejects)
+      (fun t v -> t.tier_rejects <- v);
+    sum "tier_promotions" (fun t -> t.tier_promotions)
+      (fun t v -> t.tier_promotions <- v);
+    sum "tier_demotions" (fun t -> t.tier_demotions)
+      (fun t v -> t.tier_demotions <- v);
+    sum "tier_writeback_sectors" (fun t -> t.tier_writeback_sectors)
+      (fun t v -> t.tier_writeback_sectors <- v);
+    sum "tier_fast_swapins" (fun t -> t.tier_fast_swapins)
+      (fun t v -> t.tier_fast_swapins <- v);
+    sum "tier_slow_swapins" (fun t -> t.tier_slow_swapins)
+      (fun t v -> t.tier_slow_swapins <- v);
+    sum "tier_fast_swapin_us" (fun t -> t.tier_fast_swapin_us)
+      (fun t v -> t.tier_fast_swapin_us <- v);
+    sum "tier_slow_swapin_us" (fun t -> t.tier_slow_swapin_us)
+      (fun t v -> t.tier_slow_swapin_us <- v);
+    sum "scrub_scans" (fun t -> t.scrub_scans) (fun t v -> t.scrub_scans <- v);
+    sum "scrub_verify_reads" (fun t -> t.scrub_verify_reads)
+      (fun t v -> t.scrub_verify_reads <- v);
+    sum "scrub_media_found" (fun t -> t.scrub_media_found)
+      (fun t v -> t.scrub_media_found <- v);
+    sum "scrub_relocations" (fun t -> t.scrub_relocations)
+      (fun t v -> t.scrub_relocations <- v);
+    sum "scrub_reloc_failed" (fun t -> t.scrub_reloc_failed)
+      (fun t v -> t.scrub_reloc_failed <- v);
+    sum "qos_throttled" (fun t -> t.qos_throttled)
+      (fun t v -> t.qos_throttled <- v);
+    sum "qos_throttle_wait_us" (fun t -> t.qos_throttle_wait_us)
+      (fun t v -> t.qos_throttle_wait_us <- v);
+    sum "tier_degraded_events" (fun t -> t.tier_degraded_events)
+      (fun t v -> t.tier_degraded_events <- v);
+    sum "tier_recovered_events" (fun t -> t.tier_recovered_events)
+      (fun t v -> t.tier_recovered_events <- v);
+    sum "tier_failover_routes" (fun t -> t.tier_failover_routes)
+      (fun t v -> t.tier_failover_routes <- v);
+    sum "fault_media_reads" (fun t -> t.fault_media_reads)
+      (fun t v -> t.fault_media_reads <- v);
+    sum "fault_pages_lost" (fun t -> t.fault_pages_lost)
+      (fun t v -> t.fault_pages_lost <- v);
   ]
+
+let diff a b =
+  let d = create () in
+  List.iter (fun f -> f.set d (f.get a - f.get b)) table;
+  d
+
+let add dst src =
+  List.iter
+    (fun f ->
+      let a = f.get dst and b = f.get src in
+      f.set dst (match f.merge with Sum -> a + b | Max -> max a b))
+    table
+
+let fields t = List.map (fun f -> (f.name, f.get t)) table
+
+let set_engine t (tel : Sim.Engine.telemetry) =
+  t.engine_events_fired <- tel.events_fired;
+  t.engine_cancels_reclaimed <- tel.cancels_reclaimed;
+  t.engine_cascades <- tel.cascades
 
 let pp fmt t =
   List.iter

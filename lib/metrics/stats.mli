@@ -91,8 +91,8 @@ type t = {
       (** fault starts delayed by the per-guest in-flight bound *)
   mutable async_inflight_highwater : int;
       (** gauge: max concurrent in-flight target faults, machine-wide *)
-  (* Event-engine telemetry, copied from [Sim.Engine.telemetry] when the
-     machine run finishes. *)
+  (* Event-engine telemetry, copied from [Sim.Engine.telemetry] by
+     [set_engine] when the run finishes. *)
   mutable engine_events_fired : int;  (** callbacks the engine invoked *)
   mutable engine_cancels_reclaimed : int;
       (** cancelled event records whose storage was recycled *)
@@ -146,6 +146,10 @@ type t = {
       (** swapped-out pages irrecoverable when their guest was killed *)
 }
 
+(** Adding a counter takes its field in [t] (here and in [stats.ml]),
+    its zero in [create], and one row of the private counter table in
+    [stats.ml] that [diff], [add] and [fields] are derived from. *)
+
 val create : unit -> t
 
 (** [copy t] snapshots all counters. *)
@@ -164,6 +168,10 @@ val add : t -> t -> unit
 (** [fields t] lists every counter as [(name, value)], in declaration
     order — the stable feed for JSON emitters and fingerprint hashes. *)
 val fields : t -> (string * int) list
+
+(** [set_engine t tel] copies the engine's lifetime telemetry into the
+    [engine_*] counters of [t]. *)
+val set_engine : t -> Sim.Engine.telemetry -> unit
 
 (** [pp] prints every nonzero counter, one per line. *)
 val pp : Format.formatter -> t -> unit

@@ -366,11 +366,7 @@ let run t =
   (* Fold the engine's own counters into the machine stats, so telemetry
      flows to the bench summary through the same channel as every other
      counter. *)
-  let tel = Sim.Engine.telemetry t.engine in
-  t.stats.Metrics.Stats.engine_events_fired <- tel.Sim.Engine.events_fired;
-  t.stats.Metrics.Stats.engine_cancels_reclaimed <-
-    tel.Sim.Engine.cancels_reclaimed;
-  t.stats.Metrics.Stats.engine_cascades <- tel.Sim.Engine.cascades;
+  Metrics.Stats.set_engine t.stats (Sim.Engine.telemetry t.engine);
   {
     guests;
     stats = t.stats;

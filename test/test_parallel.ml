@@ -234,6 +234,50 @@ let run_all_deterministic () =
   let parallel = render 4 in
   check Alcotest.string "jobs:4 output equals jobs:1" serial parallel
 
+(* Per-experiment counters are deterministic and attributed to the
+   experiment that ran them at any job count.  fig3 shards its
+   configurations onto the pool, so at jobs:4 its sub-jobs may be
+   help-executed by the domain running fig9; the shard must carry
+   fig3's tag there.  Each width runs under fresh ids, so its counters
+   are exactly its own runs. *)
+let counters_attributed () =
+  let fields_of l id = Metrics.Stats.fields (List.assoc id l) in
+  let run jobs =
+    let chosen =
+      List.map
+        (fun id ->
+          let e = Option.get (Experiments.Registry.find id) in
+          { e with Experiments.Exp.id = Printf.sprintf "%s@%d" id jobs })
+        [ "fig3"; "fig9" ]
+    in
+    let before = Experiments.Exp.counters () in
+    ignore (Experiments.Registry.run_all ~jobs ~scale:0.05 chosen);
+    let after = Experiments.Exp.counters () in
+    (* The two experiments' counters are the whole of what the run
+       recorded: every entry that existed before is untouched. *)
+    List.iter
+      (fun (id, _) ->
+        Alcotest.(check (list (pair string int)))
+          (id ^ " untouched") (fields_of before id) (fields_of after id))
+      before;
+    Alcotest.(check (list string))
+      "one new entry per experiment"
+      (List.map (fun e -> e.Experiments.Exp.id) chosen)
+      (List.filter
+         (fun id -> not (List.mem_assoc id before))
+         (List.map fst after));
+    List.map (fun e -> fields_of after e.Experiments.Exp.id) chosen
+  in
+  let serial = run 1 in
+  let parallel = run 4 in
+  Alcotest.(check (list (list (pair string int))))
+    "jobs:4 counters equal jobs:1" serial parallel;
+  List.iter
+    (fun fields ->
+      Alcotest.(check bool) "engine events counted" true
+        (List.assoc "engine_events_fired" fields > 0))
+    serial
+
 let tests =
   [
     ( "parallel:pool",
@@ -262,6 +306,8 @@ let tests =
           stats_deterministic_under_domains;
         Alcotest.test_case "run_all jobs:4 == jobs:1" `Slow
           run_all_deterministic;
+        Alcotest.test_case "per-experiment counters jobs:4 == jobs:1" `Slow
+          counters_attributed;
         Test_util.qcheck fig4_sharded_equals_serial;
       ] );
   ]
