@@ -11,11 +11,6 @@
      VSWAPPER_BENCH_SCALE=0.25 dune exec bench/main.exe
      dune exec bench/main.exe -- fig9 fig10     # a subset
 
-   `--micro` instead runs Bechamel microbenchmarks of the simulator's
-   hot paths — one Test.make per experiment (a small-scale end-to-end
-   run) plus the core data-structure operations — and prints their
-   measured costs.
-
    `--jobs N` overrides `VSWAPPER_JOBS` (and the core-count default);
    `--jobs 1` forces the serial inline path.  Both the experiment fan-out
    and the intra-experiment shards (fig3/fig4/fig5/fig11/fig14/abl) run
@@ -29,16 +24,23 @@
    `--jobs` width.
 
    `--json [FILE]` additionally writes a machine-readable summary
-   (per-experiment wall-clock with a history of the last runs, every
-   simulation counter in total and per experiment, pool scheduling
-   counters, micro ns/run) to FILE,
-   default `BENCH_<yyyy-mm-dd>.json`, so future changes have a perf
-   trajectory to compare against. *)
+   (per-experiment wall-clock and allocation, every simulation counter
+   in total and per experiment, pool scheduling counters) to FILE,
+   default `BENCH_<yyyy-mm-dd>.json`.  Per-layer costs and end-to-end
+   throughput are measured by simbench/, not here. *)
 
+(* A typo must not silently turn a smoke-sized run into the full sweep,
+   so anything but a positive finite float is rejected. *)
 let scale () =
   match Sys.getenv_opt "VSWAPPER_BENCH_SCALE" with
-  | Some s -> (try float_of_string s with Failure _ -> 1.0)
   | None -> 1.0
+  | Some s -> (
+      match float_of_string_opt (String.trim s) with
+      | Some v when Float.is_finite v && v > 0.0 -> v
+      | Some _ | None ->
+          Printf.eprintf
+            "VSWAPPER_BENCH_SCALE expects a positive float, got %S\n" s;
+          exit 2)
 
 (* ------------------------------------------------------------------ *)
 (* JSON output                                                         *)
@@ -67,96 +69,8 @@ type bench_record = {
   mutable experiments : (string * float * bool * float) list;
       (* id, wall_s, ok, alloc_words *)
   mutable total_wall_s : float;
-  mutable micros : (string * float) list;  (* name, ns/run *)
   jobs : int;
 }
-
-(* How many past runs each experiment's wall-clock history keeps. *)
-let history_depth = 5
-
-(* [parse_history line] extracts the floats of a `"history": [..]`
-   field, if the line has one. *)
-let parse_history line =
-  let key = "\"history\": [" in
-  match
-    (* Find the key by scanning; String.index-based search, no regex. *)
-    let kl = String.length key and ll = String.length line in
-    let rec find i =
-      if i + kl > ll then None
-      else if String.sub line i kl = key then Some (i + kl)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> []
-  | Some start -> (
-      match String.index_from_opt line start ']' with
-      | None -> []
-      | Some stop ->
-          String.sub line start (stop - start)
-          |> String.split_on_char ','
-          |> List.filter_map (fun s -> float_of_string_opt (String.trim s)))
-
-(* Per-experiment wall-clocks (and their recorded history) of an earlier
-   summary, for delta lines and history roll-forward.  Parses only the
-   writer's own "id"/"wall_s" record format. *)
-let prev_walls file =
-  if not (Sys.file_exists file) then []
-  else begin
-    let ic = open_in file in
-    let acc = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         try
-           Scanf.sscanf line "{\"id\": %S, \"wall_s\": %f" (fun id w ->
-               acc := (id, (w, parse_history line)) :: !acc)
-         with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
-  end
-
-(* Most recent BENCH_*.json other than [excluding]; dates sort
-   lexicographically. *)
-let latest_bench_file ~excluding =
-  Sys.readdir "." |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f > 6
-         && String.sub f 0 6 = "BENCH_"
-         && Filename.check_suffix f ".json"
-         && f <> Filename.basename excluding)
-  |> List.sort compare |> List.rev
-  |> function
-  | [] -> None
-  | f :: _ -> Some f
-
-(* Timed schedule/cancel churn on one engine backend: a rolling window
-   of cancellable timers (each slot's previous timer is cancelled when
-   the slot is refilled, as the disk idle-flush and VCPU timeslices do),
-   with periodic steps so the queue drains concurrently.  Deterministic
-   op sequence; only the wall-clock varies.  Returns events per second
-   (schedules + cancels + fires over elapsed time). *)
-let churn_events_per_sec backend =
-  let e = Sim.Engine.create ~backend () in
-  let n = 200_000 in
-  let handles = Array.make 64 Sim.Engine.null in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to n - 1 do
-    let slot = i land 63 in
-    Sim.Engine.cancel e handles.(slot);
-    handles.(slot) <-
-      Sim.Engine.schedule_after e
-        (Sim.Time.us (1 + ((i * 7) land 1023)))
-        (fun () -> ());
-    if i land 15 = 0 then ignore (Sim.Engine.step e)
-  done;
-  Sim.Engine.run e;
-  let dt = Unix.gettimeofday () -. t0 in
-  let tel = Sim.Engine.telemetry e in
-  let ops = n + tel.Sim.Engine.cancels_reclaimed + tel.Sim.Engine.events_fired in
-  if dt > 0.0 then float_of_int ops /. dt else 0.0
 
 (* The sum of every experiment's counters. *)
 let counters_total counters =
@@ -171,16 +85,8 @@ let stats_json s =
   |> String.concat ", " |> Printf.sprintf "{%s}"
 
 let write_json ~file ~scale r =
-  (* Read the comparison baseline from the real file, then write to a
-     temp file and rename over it: a crash mid-write never leaves a
-     truncated summary behind. *)
-  let prev =
-    if Sys.file_exists file then prev_walls file
-    else
-      match latest_bench_file ~excluding:file with
-      | Some f -> prev_walls f
-      | None -> []
-  in
+  (* Write to a temp file and rename over the target: a crash mid-write
+     never leaves a truncated summary behind. *)
   let tmp = file ^ ".tmp" in
   let oc = open_out tmp in
   let out fmt = Printf.fprintf oc fmt in
@@ -198,18 +104,8 @@ let write_json ~file ~scale r =
     (fun (id, s) -> out ",\n    \"%s\": %s" (json_escape id) (stats_json s))
     counters;
   out "\n  },\n";
-  (* Engine section: the default backend and a schedule+cancel churn
-     microbench on both backends, so every summary records the
-     wheel-vs-heap throughput on this machine. *)
-  let wheel_cps = churn_events_per_sec Sim.Engine.Wheel in
-  let heap_cps = churn_events_per_sec Sim.Engine.Heap in
-  out
-    "  \"engine\": {\"backend\": \"%s\",\n\
-    \    \"churn\": {\"wheel_events_per_sec\": %.0f, \
-     \"heap_events_per_sec\": %.0f, \"wheel_speedup\": %.2f}},\n"
-    (Sim.Engine.backend_name (Sim.Engine.default_backend ()))
-    wheel_cps heap_cps
-    (if heap_cps > 0.0 then wheel_cps /. heap_cps else 0.0);
+  out "  \"engine\": {\"backend\": \"%s\"},\n"
+    (Sim.Engine.backend_name (Sim.Engine.default_backend ()));
   (* Memory section: the writing domain's GC counters (worker-domain
      allocation shows up per experiment below, not here) and the live /
      peak heap after a full major — the footprint the flat metadata
@@ -222,36 +118,6 @@ let write_json ~file ~scale r =
      \"promoted_words\": %.0f, \"top_heap_words\": %d, \"live_words\": %d},\n"
     gq.Gc.minor_words gq.Gc.major_words gq.Gc.promoted_words
     gs.Gc.top_heap_words gs.Gc.live_words;
-  (* Fleet section: present only when the fleet experiment ran; the
-     wall-clocks and speedups inside are this machine's, the counters
-     are deterministic. *)
-  (match Experiments.Exp.fleet_totals () with
-  | None -> ()
-  | Some ft ->
-      out
-        "  \"fleet\": {\"hosts\": %d, \"guests\": %d, \"rejected\": %d, \
-         \"pages\": %d, \"epochs\": %d, \"migrations\": %d, \
-         \"migrations_aborted\": %d, \"throttled_batches\": %d, \
-         \"oom_kills\": %d, \"heap_words_per_page\": %.1f,\n"
-        ft.Experiments.Exp.fleet_hosts ft.Experiments.Exp.fleet_guests
-        ft.Experiments.Exp.fleet_rejected ft.Experiments.Exp.fleet_pages
-        ft.Experiments.Exp.fleet_epochs ft.Experiments.Exp.fleet_migrations
-        ft.Experiments.Exp.fleet_migrations_aborted
-        ft.Experiments.Exp.fleet_throttled_batches
-        ft.Experiments.Exp.fleet_oom_kills
-        ft.Experiments.Exp.fleet_heap_words_per_page;
-      out "    \"per_jobs\": [";
-      List.iteri
-        (fun i p ->
-          out
-            "%s\n      {\"jobs\": %d, \"wall_s\": %.3f, \
-             \"guest_seconds_per_s\": %.0f, \"speedup\": %.2f}"
-            (if i = 0 then "" else ",")
-            p.Experiments.Exp.fj_jobs p.Experiments.Exp.fj_wall_s
-            p.Experiments.Exp.fj_guest_seconds_per_s
-            p.Experiments.Exp.fj_speedup)
-        ft.Experiments.Exp.fleet_per_jobs;
-      out "\n    ]},\n");
   let ps = Parallel.Pool.stats (Parallel.Pool.global ()) in
   out
     "  \"parallel\": {\"jobs\": %d, \"worker_jobs\": %d, \"helper_jobs\": \
@@ -261,49 +127,17 @@ let write_json ~file ~scale r =
   out "  \"experiments\": [";
   List.iteri
     (fun i (id, wall_s, ok, alloc_words) ->
-      (* [history] rolls the previous file's wall_s (plus its own
-         history) forward, newest first, capped at [history_depth] past
-         runs; [delta_s] stays the one-step comparison. *)
-      let delta, history =
-        match List.assoc_opt id prev with
-        | Some (w, past) ->
-            let rec cap n = function
-              | x :: r when n > 0 -> x :: cap (n - 1) r
-              | _ -> []
-            in
-            (* %.3f, not %+.3f: a leading '+' on a positive delta is not
-               valid JSON and strict parsers reject the whole file. *)
-            ( Printf.sprintf ", \"delta_s\": %.3f" (wall_s -. w),
-              cap history_depth (w :: past) )
-        | None -> ("", [])
-      in
-      let history =
-        match history with
-        | [] -> ""
-        | hs ->
-            Printf.sprintf ", \"history\": [%s]"
-              (String.concat ", "
-                 (List.map (Printf.sprintf "%.3f") hs))
-      in
       (* alloc_mwords: millions of words the experiment allocated on
          its domain; alloc_mwords_per_s is the rate, the number the
          fault-path allocation work moves. *)
       out
-        "%s\n    {\"id\": \"%s\", \"wall_s\": %.3f%s%s, \"alloc_mwords\": \
+        "%s\n    {\"id\": \"%s\", \"wall_s\": %.3f, \"alloc_mwords\": \
          %.1f, \"alloc_mwords_per_s\": %.1f, \"ok\": %b}"
         (if i = 0 then "" else ",")
-        (json_escape id) wall_s delta history (alloc_words /. 1e6)
+        (json_escape id) wall_s (alloc_words /. 1e6)
         (if wall_s > 0.0 then alloc_words /. 1e6 /. wall_s else 0.0)
         ok)
     r.experiments;
-  out "\n  ],\n";
-  out "  \"micros\": [";
-  List.iteri
-    (fun i (name, ns) ->
-      out "%s\n    {\"name\": \"%s\", \"ns_per_run\": %.1f}"
-        (if i = 0 then "" else ",")
-        (json_escape name) ns)
-    r.micros;
   out "\n  ]\n}\n";
   close_out oc;
   Sys.rename tmp file;
@@ -313,8 +147,7 @@ let write_json ~file ~scale r =
 (* Experiment reproduction mode                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_experiments ~record ids =
-  let scale = scale () in
+let run_experiments ~record ~scale ids =
   let chosen =
     match ids with
     | [] -> Experiments.Registry.all
@@ -370,239 +203,16 @@ let run_experiments ~record ids =
       (float_of_int t.Metrics.Stats.disk_batch_sectors /. float_of_int batches)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmark mode                                        *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let engine_bench =
-  Test.make ~name:"sim: schedule+fire 1000 events"
-    (Staged.stage (fun () ->
-         let e = Sim.Engine.create () in
-         for i = 1 to 1000 do
-           Sim.Engine.run_at e (Sim.Time.us i) (fun () -> ())
-         done;
-         Sim.Engine.run e))
-
-let heap_bench =
-  Test.make ~name:"sim: heap push/pop 1000"
-    (Staged.stage (fun () ->
-         let h = Sim.Heap.create () in
-         for i = 1 to 1000 do
-           Sim.Heap.add h ~priority:(i * 7919 mod 1000) i
-         done;
-         while Sim.Heap.pop_min h <> None do
-           ()
-         done))
-
-(* Schedule+cancel churn per backend — the pattern the disk idle-flush,
-   Preventer expiries, and VCPU timeslices hammer: most timers are
-   cancelled and rearmed before they fire. *)
-let engine_churn_bench backend =
-  Test.make
-    ~name:
-      (Printf.sprintf "sim: engine(%s) schedule+cancel churn 1000"
-         (Sim.Engine.backend_name backend))
-    (Staged.stage (fun () ->
-         let e = Sim.Engine.create ~backend () in
-         let handles = Array.make 32 Sim.Engine.null in
-         for i = 0 to 999 do
-           let slot = i land 31 in
-           Sim.Engine.cancel e handles.(slot);
-           handles.(slot) <-
-             Sim.Engine.schedule_after e
-               (Sim.Time.us (1 + ((i * 7) land 255)))
-               (fun () -> ());
-           if i land 7 = 0 then ignore (Sim.Engine.step e)
-         done;
-         Sim.Engine.run e))
-
-let mapper_bench =
-  Test.make ~name:"core: mapper track/untrack 1000"
-    (Staged.stage (fun () ->
-         let m = Vswapper.Mapper.create ~stats:(Metrics.Stats.create ()) () in
-         for gpa = 0 to 999 do
-           Vswapper.Mapper.track m ~gpa ~disk:0 ~block:gpa ~version:0
-         done;
-         for gpa = 0 to 999 do
-           Vswapper.Mapper.untrack m ~gpa
-         done))
-
-let preventer_bench =
-  Test.make ~name:"core: preventer 8-store page completion"
-    (Staged.stage (fun () ->
-         let p =
-           Vswapper.Preventer.create ~stats:(Metrics.Stats.create ())
-             ~window:(Sim.Time.ms 1) ~max_buffers:32
-         in
-         for gpa = 0 to 31 do
-           for j = 0 to 7 do
-             ignore
-               (Vswapper.Preventer.on_write p ~now:0 ~gpa ~offset:(j * 512)
-                  ~len:512)
-           done
-         done))
-
-(* The flat int table against the boxed stdlib table it replaced on the
-   fault path, same key set and op mix, so the summary records the
-   per-op win on this machine. *)
-let itbl_bench =
-  Test.make ~name:"mem: itbl set/find/remove 1000"
-    (Staged.stage (fun () ->
-         let t = Mem.Itbl.create () in
-         for i = 0 to 999 do
-           Mem.Itbl.set t (i * 7919) i
-         done;
-         let acc = ref 0 in
-         for i = 0 to 999 do
-           acc := !acc + Mem.Itbl.find t (i * 7919) ~default:0
-         done;
-         for i = 0 to 999 do
-           Mem.Itbl.remove t (i * 7919)
-         done;
-         ignore (Sys.opaque_identity !acc)))
-
-let hashtbl_ref_bench =
-  Test.make ~name:"mem: hashtbl set/find/remove 1000 (boxed reference)"
-    (Staged.stage (fun () ->
-         let t : (int, int) Hashtbl.t = Hashtbl.create 16 in
-         for i = 0 to 999 do
-           Hashtbl.replace t (i * 7919) i
-         done;
-         let acc = ref 0 in
-         for i = 0 to 999 do
-           acc :=
-             !acc + (match Hashtbl.find_opt t (i * 7919) with
-                    | Some v -> v
-                    | None -> 0)
-         done;
-         for i = 0 to 999 do
-           Hashtbl.remove t (i * 7919)
-         done;
-         ignore (Sys.opaque_identity !acc)))
-
-(* End-to-end fault-path churn on a small host: populate 512 guest pages
-   through a 96-frame resident limit (every write past it evicts through
-   the cgroup scan into host swap), then read them all back (major
-   faults with cluster readahead through the in-flight registry).  The
-   path this PR flattened — EPT dispatch, frame metadata, LRU moves,
-   slot-owner/in-flight table ops — all in one loop. *)
-let fault_path_bench =
-  Test.make ~name:"host: fault-path churn 512 pages write/evict/swap-in"
-    (Staged.stage (fun () ->
-         let engine = Sim.Engine.create () in
-         let stats = Metrics.Stats.create () in
-         let disk =
-           Storage.Disk.create ~engine ~stats Storage.Disk.default_config
-         in
-         let vdisk =
-           Storage.Vdisk.create ~id:0 ~base_sector:10_000 ~nblocks:1024
-         in
-         let swap =
-           Storage.Swap_area.create ~base_sector:1_000_000 ~nslots:4096
-         in
-         let config =
-           {
-             Host.Hconfig.default with
-             total_frames = 256;
-             low_watermark_frames = 8;
-             high_watermark_frames = 16;
-             hv_pages_per_guest = 4;
-           }
-         in
-         let host =
-           Host.Hostmm.create ~engine ~disk ~stats
-             ~config ~vsconfig:Vswapper.Vsconfig.baseline ~swap
-             ~hv_base_sector:0 ()
-         in
-         let gid =
-           Host.Hostmm.register_guest host ~vdisk ~gpa_pages:512
-             ~resident_limit:(Some 96)
-         in
-         for gpa = 0 to 511 do
-           Host.Hostmm.rep_write host ~guest:gid ~gpa
-             ~content:(Storage.Content.fresh_anon ()) (fun () -> ())
-         done;
-         Sim.Engine.run engine;
-         for gpa = 0 to 511 do
-           Host.Hostmm.touch_read host ~guest:gid ~gpa (fun _ -> ())
-         done;
-         Sim.Engine.run engine))
-
-let swap_alloc_bench =
-  Test.make ~name:"storage: swap alloc/free 1000"
-    (Staged.stage (fun () ->
-         let sa = Storage.Swap_area.create ~base_sector:0 ~nslots:2048 in
-         let slots =
-           List.init 1000 (fun i ->
-               Option.get (Storage.Swap_area.alloc sa (Storage.Content.Anon i)))
-         in
-         List.iter (Storage.Swap_area.free sa) slots))
-
-(* One end-to-end Test.make per paper table/figure, at a tiny scale so
-   Bechamel can iterate them. *)
-let experiment_bench (e : Experiments.Exp.t) =
-  Test.make ~name:("experiment: " ^ e.Experiments.Exp.id)
-    (Staged.stage (fun () -> ignore (e.Experiments.Exp.run ~scale:0.06)))
-
-let run_micro ~record () =
-  let tests =
-    [
-      engine_bench; heap_bench;
-      engine_churn_bench Sim.Engine.Wheel;
-      engine_churn_bench Sim.Engine.Heap;
-      mapper_bench; preventer_bench;
-      itbl_bench; hashtbl_ref_bench; fault_path_bench;
-      swap_alloc_bench;
-    ]
-    @ List.map experiment_bench
-        (List.filter
-           (fun e ->
-             (* The multi-guest sweeps are too heavy to iterate. *)
-             not
-               (List.mem e.Experiments.Exp.id
-                  [ "fig4"; "fig14"; "memscale"; "degradation"; "fleet" ]))
-           Experiments.Registry.all)
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"micro" [ test ])
-      in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-      in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ v ] ->
-              record.micros <- record.micros @ [ (name, v) ];
-              Printf.printf "%-52s %14.1f ns/run\n%!" name v
-          | Some _ | None -> Printf.printf "%-52s (no estimate)\n%!" name)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Argument parsing                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let micro = ref false in
   let json = ref None in
   let jobs_flag = ref None in
   let ids = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--micro" :: rest ->
-        micro := true;
-        parse rest
     | "--jobs" :: value :: rest -> (
         match int_of_string_opt value with
         | Some n when n >= 1 ->
@@ -650,6 +260,7 @@ let () =
         parse rest
   in
   parse args;
+  let scale = scale () in
   (* --jobs beats VSWAPPER_JOBS beats the core-count default; size the
      shared pool once, before anything submits to it. *)
   (match !jobs_flag with
@@ -659,11 +270,10 @@ let () =
     {
       experiments = [];
       total_wall_s = 0.0;
-      micros = [];
       jobs = Parallel.Pool.jobs (Parallel.Pool.global ());
     }
   in
-  if !micro then run_micro ~record () else run_experiments ~record !ids;
+  run_experiments ~record ~scale !ids;
   match !json with
-  | Some file -> write_json ~file ~scale:(scale ()) record
+  | Some file -> write_json ~file ~scale record
   | None -> ()

@@ -10,9 +10,8 @@
 # regex; "" adds nothing).  RUN_A and RUN_B each hold VAR=VALUE words,
 # put in the run's environment, and main.exe flags (e.g. --jobs 4),
 # appended to ARGS.  With JSON set to "json", both runs write the same
-# NAME.json summary (so the second records a delta_s against the
-# first) and the strict linter parses the file after each write; "-"
-# writes no summary.  On success the RUN_A output is printed.
+# NAME.json summary and the strict linter parses the file after each
+# write; "-" writes no summary.  On success the RUN_A output is printed.
 set -e
 
 name=$1 filter=$2 json=$3 run_a=$4 run_b=$5

@@ -70,40 +70,6 @@ let smoke () =
       s <> "" && s <> "0"
   | None -> false
 
-(* Fleet-experiment totals for the bench JSON summary.  Unlike the
-   counters below these are set wholesale, once, by the fleet experiment
-   (both of its runs happen inside one experiment body), so a mutex'd
-   option cell is enough. *)
-type fleet_jobs_point = {
-  fj_jobs : int;
-  fj_wall_s : float;
-  fj_guest_seconds_per_s : float;
-  fj_speedup : float;
-}
-
-type fleet_totals = {
-  fleet_hosts : int;
-  fleet_guests : int;
-  fleet_rejected : int;
-  fleet_pages : int;
-  fleet_epochs : int;
-  fleet_migrations : int;
-  fleet_migrations_aborted : int;
-  fleet_throttled_batches : int;
-  fleet_oom_kills : int;
-  fleet_heap_words_per_page : float;
-  fleet_per_jobs : fleet_jobs_point list;
-}
-
-let fleet_acc : fleet_totals option ref = ref None
-let fleet_mu = Mutex.create ()
-
-let reset_fleet_totals () =
-  Mutex.protect fleet_mu (fun () -> fleet_acc := None)
-
-let set_fleet_totals t = Mutex.protect fleet_mu (fun () -> fleet_acc := Some t)
-let fleet_totals () = Mutex.protect fleet_mu (fun () -> !fleet_acc)
-
 let exp_tag : string option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 

@@ -14,34 +14,17 @@
    comparing serial vs --jobs 4 stdout; everything else is
    deterministic.
 
-   Knobs: VSWAPPER_FLEET_HOSTS (default 128), VSWAPPER_OVERCOMMIT
-   (default 1.5), VSWAPPER_TRAFFIC_SEED (default 42), and the shared
-   VSWAPPER_SMOKE=1 cap (8 hosts, 6 epochs).  VSWAPPER_BENCH_SCALE
-   scales the host count. *)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 1 -> v
-      | Some _ | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0.0 -> v
-      | Some _ | None -> default)
-  | None -> default
+   The shared VSWAPPER_SMOKE=1 cap cuts the grid to 8 hosts and 6
+   epochs; the bench scale scales the host count. *)
 
 let config ~scale =
   let d = Cluster.Fleet.default_config in
   let per_host_arrivals =
     d.Cluster.Fleet.mean_arrivals /. float_of_int d.Cluster.Fleet.hosts
   in
-  let hosts = env_int "VSWAPPER_FLEET_HOSTS" d.Cluster.Fleet.hosts in
-  let hosts = if Exp.smoke () then min hosts 8 else hosts in
+  let hosts =
+    if Exp.smoke () then min d.Cluster.Fleet.hosts 8 else d.Cluster.Fleet.hosts
+  in
   let hosts = Exp.scaled_int scale hosts ~min:2 in
   let epochs =
     if Exp.smoke () then min d.Cluster.Fleet.epochs 6
@@ -51,8 +34,6 @@ let config ~scale =
     d with
     Cluster.Fleet.hosts;
     epochs;
-    overcommit = env_float "VSWAPPER_OVERCOMMIT" d.Cluster.Fleet.overcommit;
-    seed = env_int "VSWAPPER_TRAFFIC_SEED" d.Cluster.Fleet.seed;
     mean_arrivals = per_host_arrivals *. float_of_int hosts;
   }
 
@@ -92,35 +73,6 @@ let run ~scale =
       /. float_of_int r1.Cluster.Fleet.peak_live_pages
     else 0.0
   in
-  Exp.set_fleet_totals
-    {
-      Exp.fleet_hosts = cfg.Cluster.Fleet.hosts;
-      fleet_guests = r1.Cluster.Fleet.guests_placed;
-      fleet_rejected = r1.Cluster.Fleet.guests_rejected;
-      fleet_pages = r1.Cluster.Fleet.pages_placed;
-      fleet_epochs = cfg.Cluster.Fleet.epochs;
-      fleet_migrations = r1.Cluster.Fleet.migrations;
-      fleet_migrations_aborted = r1.Cluster.Fleet.migrations_aborted;
-      fleet_throttled_batches =
-        r1.Cluster.Fleet.migration_throttled_batches;
-      fleet_oom_kills = r1.Cluster.Fleet.oom_kills;
-      fleet_heap_words_per_page = heap_words_per_page;
-      fleet_per_jobs =
-        [
-          {
-            Exp.fj_jobs = 1;
-            fj_wall_s = wall1;
-            fj_guest_seconds_per_s = thr1;
-            fj_speedup = 1.0;
-          };
-          {
-            Exp.fj_jobs = 4;
-            fj_wall_s = wall4;
-            fj_guest_seconds_per_s = thr4;
-            fj_speedup = speedup4;
-          };
-        ];
-    };
   let cores = Domain.recommended_domain_count () in
   let verdict =
     (* The >= 2x gate only means something when the machine actually has

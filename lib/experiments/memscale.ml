@@ -19,21 +19,11 @@
    memscale-smoke rule filters those lines before comparing serial vs
    parallel stdout.  The fault panels are deterministic as usual.
 
-   VSWAPPER_MEMSCALE_MAX_GUESTS caps the guest-count grid, and the
-   shared VSWAPPER_SMOKE=1 cap (honored by every heavyweight sweep)
-   clamps it to [1; 2]; VSWAPPER_BENCH_SCALE scales the per-guest page
-   count, full scale being 2^20 pages. *)
+   The shared VSWAPPER_SMOKE=1 cap (honored by every heavyweight sweep)
+   clamps the guest-count grid to [1; 2]; VSWAPPER_BENCH_SCALE scales
+   the per-guest page count, full scale being 2^20 pages. *)
 
-let guest_counts () =
-  let cap =
-    match Sys.getenv_opt "VSWAPPER_MEMSCALE_MAX_GUESTS" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-        | Some v when v >= 1 -> v
-        | Some _ | None -> 8)
-    | None -> 8
-  in
-  let cap = if Exp.smoke () then min cap 2 else cap in
-  List.filter (fun n -> n <= cap) [ 1; 2; 4; 8 ]
+let guest_counts () = if Exp.smoke () then [ 1; 2 ] else [ 1; 2; 4; 8 ]
 
 (* Per-guest pages, rounded to whole MiB so guest construction (which
    thinks in MiB) reproduces the count exactly. *)

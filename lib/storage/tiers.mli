@@ -44,12 +44,6 @@ type config = {
 val disk_only : config
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
-(** [pair_of_string "czram+disk"] parses a VSWAPPER_TIERS value:
-    ["fast+slow"], or a single kind (over a disk slow tier; plain
-    ["disk"] is the passthrough pair). *)
-val pair_of_string : string -> (kind * kind) option
 
 (** [pair_to_string cfg] renders the tier pair (["disk"],
     ["czram+disk"], ...). *)

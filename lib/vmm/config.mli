@@ -54,23 +54,9 @@ type t = {
 
 val default_guest : workload:Workload.t -> guest_spec
 
-(** [default ~guests] reads optional environment overrides so smoke
-    tests can flip a stock experiment into the async multi-queue regime:
-    [VSWAPPER_ASYNC] (bool) sets [async_faults], [VSWAPPER_QUEUES] /
-    [VSWAPPER_QDEPTH] (positive ints) set the disk's [num_queues] /
-    [per_queue_depth], [VSWAPPER_MAX_INFLIGHT] (int >= 0) sets
-    [Host.Hconfig.max_inflight_faults].  Tiering knobs:
-    [VSWAPPER_TIERS] ("disk", "czram+disk", "disk+remote",
-    "czram+remote") picks the tier pair; [VSWAPPER_FAST_SHARE]
-    (percent), [VSWAPPER_CZRAM_RATIO] (max admitted compression
-    ratio), [VSWAPPER_REMOTE_RTT_US] and [VSWAPPER_REMOTE_GBPS]
-    refine it.  Degraded-media knobs: [VSWAPPER_SCRUB_RATE] (swap
-    slots verified per simulated second; 0 = no scrubber) and
-    [VSWAPPER_SCRUB_BUDGET] (relocations per scrub pass) arm the
-    background scrubber; [VSWAPPER_QOS_RATE] (swap-in faults admitted
-    per guest per simulated second; 0 = no QoS) and
-    [VSWAPPER_QOS_BURST] (bucket depth) arm per-guest I/O admission
-    control. *)
+(** [default ~guests] is the stock machine: 2 GiB host, baseline
+    VSwapper features, the default host, disk and disk-only tier
+    configurations, sync faults and no fault injection. *)
 val default : guests:guest_spec list -> t
 
 (** [name_of_vs cfg] is the paper's name for a configuration:

@@ -1,7 +1,7 @@
 (* Lint files with the strict Metrics.Json parser; exit 1 naming the
-   first offence.  The async-smoke alias runs this over every summary
-   `bench --json` emits, so an invalid byte (like the old `+2.943`
-   delta) fails `dune runtest` instead of the next consumer. *)
+   first offence.  The json-writing smoke aliases run this over every
+   summary `bench --json` emits, so an invalid byte fails `dune runtest`
+   instead of the next consumer. *)
 let () =
   let ok = ref true in
   Array.iteri

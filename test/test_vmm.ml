@@ -260,6 +260,68 @@ let async_sync_differential =
       in
       run ~async:false = run ~async:true)
 
+(* Async faults on a multi-queue disk with the Mapper on: a fig9-shaped
+   VSwapper guest iterating over a file (with some misaligned requests
+   that bypass the Mapper) beside a swap-storm guest, on 4 queues of
+   depth 2 with at most 8 in-flight faults per guest.  The run must
+   finish without a kill, batch on a non-zero queue, discard
+   Mapper-tracked pages instead of swapping them, keep the in-flight
+   bound, and be repeatable. *)
+let machine_async_multiqueue_mapper () =
+  let run () =
+    let reader =
+      {
+        (Vmm.Config.default_guest
+           ~workload:(Workloads.Sysbench.workload ~iterations:2 ~file_mb:24 ()))
+        with
+        mem_mb = 48;
+        resident_limit_mb = Some 12;
+        warm_all = true;
+        data_mb = 40;
+        misaligned_io_percent = 10;
+      }
+    in
+    let storm =
+      {
+        (Vmm.Config.default_guest
+           ~workload:
+             (Workloads.Swapstorm.workload ~threads:4 ~rounds:2 ~mb:24 ()))
+        with
+        mem_mb = 40;
+        resident_limit_mb = Some 8;
+        data_mb = 32;
+      }
+    in
+    let cfg =
+      {
+        (Vmm.Config.default ~guests:[ reader; storm ]) with
+        vs = Vswapper.Vsconfig.vswapper;
+        host_mem_mb = 256;
+        host_swap_mb = 128;
+        async_faults = true;
+        disk =
+          { Storage.Disk.default_config with num_queues = 4; per_queue_depth = 2 };
+        hbase = { Host.Hconfig.default with max_inflight_faults = 8 };
+      }
+    in
+    Vmm.Machine.run (Vmm.Machine.build cfg)
+  in
+  let r = run () in
+  let s = r.Vmm.Machine.stats in
+  Array.iter
+    (fun g ->
+      Alcotest.(check bool) "not killed" false g.Vmm.Machine.oomed;
+      if g.Vmm.Machine.runtime = None then Alcotest.fail "a guest did not finish")
+    r.Vmm.Machine.guests;
+  check Alcotest.int "no oom kills" 0 s.Metrics.Stats.oom_kills;
+  Alcotest.(check bool) "multi-queue batches" true (s.Metrics.Stats.disk_mq_batches > 0);
+  Alcotest.(check bool) "mapper discards" true (s.Metrics.Stats.mapper_discards > 0);
+  Alcotest.(check bool) "in-flight bound held" true
+    (s.Metrics.Stats.async_inflight_highwater <= 8);
+  Alcotest.(check (list (pair string int)))
+    "repeatable" (Metrics.Stats.fields s)
+    (Metrics.Stats.fields (run ()).Vmm.Machine.stats)
+
 let tests =
   [
     ( "vmm:workload",
@@ -277,6 +339,8 @@ let tests =
         Alcotest.test_case "time limit" `Quick machine_time_limit;
         Alcotest.test_case "single run" `Quick machine_runs_twice_rejected;
         Alcotest.test_case "config names" `Quick config_names;
+        Alcotest.test_case "async multi-queue mapper" `Quick
+          machine_async_multiqueue_mapper;
         Test_util.qcheck async_sync_differential;
       ] );
   ]
