@@ -104,8 +104,6 @@ let write_json ~file ~scale r =
     (fun (id, s) -> out ",\n    \"%s\": %s" (json_escape id) (stats_json s))
     counters;
   out "\n  },\n";
-  out "  \"engine\": {\"backend\": \"%s\"},\n"
-    (Sim.Engine.backend_name (Sim.Engine.default_backend ()));
   (* Memory section: the writing domain's GC counters (worker-domain
      allocation shows up per experiment below, not here) and the live /
      peak heap after a full major — the footprint the flat metadata

@@ -88,9 +88,6 @@ let owner_key ~gid ~gpa = (gid lsl owner_gpa_bits) lor gpa
 let owner_gid key = key lsr owner_gpa_bits
 let owner_gpa key = key land owner_gpa_mask
 
-(* Temporary debug hook: called with (gpa, slot) on each swap-out. *)
-let debug_evict_hook : (int -> int -> unit) ref = ref (fun _ _ -> ())
-
 let create ~engine ~disk ?tiers ~stats ~config ~vsconfig ~swap ~hv_base_sector
     () =
   (* Swap I/O always goes through a [Tiers]; without an explicit one we
@@ -296,7 +293,6 @@ let evict_frame t frame =
                   t.stats.swap_full_fallbacks + 1;
                 false
             | Some slot ->
-                !debug_evict_hook gpa slot;
                 Itbl.set t.slot_owner slot (owner_key ~gid ~gpa);
                 g.ept.(gpa) <- e_in_swap slot;
                 t.stats.host_swapouts <- t.stats.host_swapouts + 1;

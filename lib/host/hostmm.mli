@@ -215,6 +215,3 @@ val relocate_slot : t -> int -> bool
     ownership).  Raises [Failure] with a description on violation; meant
     for tests. *)
 val check_invariants : t -> unit
-
-(** Temporary debug hook: called with (gpa, slot) on each swap-out write. *)
-val debug_evict_hook : (int -> int -> unit) ref

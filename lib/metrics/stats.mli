@@ -97,7 +97,7 @@ type t = {
   mutable engine_cancels_reclaimed : int;
       (** cancelled event records whose storage was recycled *)
   mutable engine_cascades : int;
-      (** timing-wheel slot redistributions (0 under the heap backend) *)
+      (** timing-wheel slot redistributions *)
   (* Tiered swap backends (all 0 in the default single-disk mode). *)
   mutable tier_admissions : int;  (** swap-outs accepted by the fast tier *)
   mutable tier_rejects : int;

@@ -1,149 +1,23 @@
-(* The engine dispatches over two interchangeable event-queue backends
-   with identical observable semantics (firing order, clock, handle
-   lifecycle, counters visible through [pending]):
+(* The engine is a virtual clock over one hierarchical timing wheel:
+   O(1) schedule and cancel with true removal, whole-tick batch dispatch.
+   Event records live in the wheel's freelist slab; a handle is the
+   wheel's packed (slot index, generation) immediate, so stale handles
+   (fired or cancelled events) are detected and ignored instead of
+   corrupting a reused record. *)
 
-   - [Wheel] (default): hierarchical timing wheel — O(1) schedule and
-     cancel, true removal on cancel, whole-tick batch dispatch.
-   - [Heap]: the original binary heap over a freelist slab, kept as the
-     `VSWAPPER_ENGINE=heap` escape hatch and as the reference
-     implementation for the differential test harness.  Cancellation is
-     lazy: cancelled records stay queued until a drain pops them.
+type backend = Wheel
 
-   Heap-backend event records live in a slab indexed by the heap, and
-   every record — cancellable or not — recycles through a freelist.  A
-   handle is a packed (slot index, generation) immediate: releasing a
-   slot bumps its generation, so stale handles (fired or long-cancelled
-   events) are detected and ignored instead of corrupting a reused
-   record.  The wheel backend applies the same handle discipline inside
-   [Wheel]. *)
-
-type backend = Heap | Wheel
-
-let backend_name = function Heap -> "heap" | Wheel -> "wheel"
-
-let default_backend =
-  let warned = ref false in
-  fun () ->
-    match Sys.getenv_opt "VSWAPPER_ENGINE" with
-    | Some "heap" -> Heap
-    | None | Some "wheel" -> Wheel
-    | Some other ->
-        if not !warned then begin
-          warned := true;
-          Printf.eprintf
-            "[engine] unknown VSWAPPER_ENGINE=%S (expected \"heap\" or \
-             \"wheel\"); using the wheel\n\
-             %!"
-            other
-        end;
-        Wheel
-
-type slot = {
-  mutable fn : unit -> unit;
-  mutable gen : int;  (* bumped on release; low [gen_bits] of a handle *)
-  mutable cancelled : bool;
-  mutable next_free : int;  (* freelist link; -1 terminates; unused when live *)
-}
+let backend_name Wheel = "wheel"
+let default_backend () = Wheel
 
 type event = int
-(* [(idx lsl gen_bits) lor (gen land gen_mask)]; negative = null. *)
 
-let gen_bits = 31
-let gen_mask = (1 lsl gen_bits) - 1
 let null = -1
 
-type heap_state = {
-  queue : int Heap.t;  (* slot indices, prioritized by firing time *)
-  mutable live : int;
-  mutable cancelled_queued : int;  (* cancelled records not yet drained *)
-  mutable slots : slot array;
-  mutable free_head : int;  (* head of the free-slot index chain; -1 = none *)
-  mutable h_fired : int;
-  mutable h_reclaimed : int;  (* cancelled records released by a drain *)
-}
+type t = { mutable clock : Time.t; wheel : (unit -> unit) Wheel.t }
 
-type impl = H of heap_state | W of (unit -> unit) Wheel.t
-
-type t = { mutable clock : Time.t; impl : impl }
-
-let fresh_slot i = { fn = ignore; gen = 0; cancelled = false; next_free = i }
-
-(* Chain slots [lo, hi) onto the freelist in ascending order. *)
-let chain slots lo hi tail =
-  for i = lo to hi - 1 do
-    slots.(i).next_free <- (if i = hi - 1 then tail else i + 1)
-  done;
-  lo
-
-let create ?backend () =
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
-  in
-  let impl =
-    match backend with
-    | Wheel -> W (Wheel.create ())
-    | Heap ->
-        let n = 64 in
-        let slots = Array.init n (fun i -> fresh_slot i) in
-        let free_head = chain slots 0 n (-1) in
-        H
-          {
-            queue = Heap.create ();
-            live = 0;
-            cancelled_queued = 0;
-            slots;
-            free_head;
-            h_fired = 0;
-            h_reclaimed = 0;
-          }
-  in
-  { clock = Time.zero; impl }
-
-let backend t = match t.impl with H _ -> Heap | W _ -> Wheel
+let create () = { clock = Time.zero; wheel = Wheel.create () }
 let now t = t.clock
-
-(* ------------------------------------------------------------------ *)
-(* Heap backend slab                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let grow h =
-  let n = Array.length h.slots in
-  let slots =
-    Array.init (2 * n) (fun i -> if i < n then h.slots.(i) else fresh_slot i)
-  in
-  h.slots <- slots;
-  h.free_head <- chain slots n (2 * n) h.free_head
-
-let alloc_slot h fn =
-  if h.free_head < 0 then grow h;
-  let i = h.free_head in
-  let s = h.slots.(i) in
-  h.free_head <- s.next_free;
-  s.fn <- fn;
-  s.cancelled <- false;
-  i
-
-(* Release a popped slot: bump the generation (outstanding handles go
-   stale), drop the closure so the freelist retains nothing, and push the
-   slot back for reuse. *)
-let release h i =
-  let s = h.slots.(i) in
-  s.fn <- ignore;
-  s.gen <- (s.gen + 1) land gen_mask;
-  s.cancelled <- false;
-  s.next_free <- h.free_head;
-  h.free_head <- i
-
-(* Drop a cancelled record found at the top of the heap. *)
-let reclaim_cancelled h i =
-  Heap.drop_min h.queue;
-  release h i;
-  h.cancelled_queued <- h.cancelled_queued - 1;
-  h.h_reclaimed <- h.h_reclaimed + 1
-
-(* ------------------------------------------------------------------ *)
-(* Scheduling                                                          *)
-(* ------------------------------------------------------------------ *)
 
 let check_not_past t time =
   if Time.compare time t.clock < 0 then
@@ -153,153 +27,47 @@ let check_not_past t time =
 
 let schedule_at t time fn =
   check_not_past t time;
-  match t.impl with
-  | H h ->
-      let i = alloc_slot h fn in
-      Heap.add h.queue ~priority:(Time.to_us time) i;
-      h.live <- h.live + 1;
-      (i lsl gen_bits) lor h.slots.(i).gen
-  | W w -> Wheel.add w ~time:(Time.to_us time) fn
+  Wheel.add t.wheel ~time:(Time.to_us time) fn
 
 let schedule_after t delay fn = schedule_at t (Time.add t.clock delay) fn
 let run_at t time fn = ignore (schedule_at t time fn : event)
 let run_after t delay fn = run_at t (Time.add t.clock delay) fn
+let cancel t ev = ignore (Wheel.cancel t.wheel ev : bool)
+let pending t = Wheel.length t.wheel
 
-let cancel t ev =
-  if ev >= 0 then
-    match t.impl with
-    | H h ->
-        let s = h.slots.(ev lsr gen_bits) in
-        (* The generation check makes cancelling a fired (or fired-and-
-           reused) event a no-op instead of sabotaging the slot's new
-           occupant.  The record stays queued until a drain pops it. *)
-        if s.gen = ev land gen_mask && not s.cancelled then begin
-          s.cancelled <- true;
-          h.live <- h.live - 1;
-          h.cancelled_queued <- h.cancelled_queued + 1
-        end
-    | W w -> ignore (Wheel.cancel w ev : bool)
-
-let pending t = match t.impl with H h -> h.live | W w -> Wheel.length w
-
-let cancelled_pending t =
-  match t.impl with H h -> h.cancelled_queued | W _ -> 0
-
-(* ------------------------------------------------------------------ *)
-(* Draining                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let rec heap_step t h =
-  if Heap.is_empty h.queue then false
-  else begin
-    let time = Heap.top_priority h.queue in
-    let i = Heap.top h.queue in
-    let s = h.slots.(i) in
-    if s.cancelled then begin
-      (* Cancelled records are reclaimed on every drain path. *)
-      reclaim_cancelled h i;
-      heap_step t h
-    end
-    else begin
-      Heap.drop_min h.queue;
-      t.clock <- Time.us time;
-      h.live <- h.live - 1;
-      h.h_fired <- h.h_fired + 1;
-      let fn = s.fn in
-      (* Recycle before firing: the callback may schedule and can reuse
-         this very slot; any handle to the fired event is now stale. *)
-      release h i;
-      fn ();
-      true
-    end
-  end
-
-let wheel_step t w =
-  let nt = Wheel.next_time w in
+let step t =
+  let nt = Wheel.next_time t.wheel in
   if nt < 0 then false
   else begin
     (* [pop] recycles the record before handing back the callback, so a
        handle to the fired event is stale by the time it runs. *)
-    let fn = Wheel.pop w in
+    let fn = Wheel.pop t.wheel in
     t.clock <- Time.us nt;
     fn ();
     true
   end
 
-let step t = match t.impl with H h -> heap_step t h | W w -> wheel_step t w
 let run t = while step t do () done
-
-(* One [top]/[top_priority] read per iteration: the record index decides
-   whether this is a reclaim, and its priority is read once and reused
-   for both the limit check and the clock. *)
-let rec heap_run_until t h limit =
-  if Heap.is_empty h.queue then false
-  else begin
-    let i = Heap.top h.queue in
-    let s = h.slots.(i) in
-    if s.cancelled then begin
-      reclaim_cancelled h i;
-      heap_run_until t h limit
-    end
-    else begin
-      let time = Time.us (Heap.top_priority h.queue) in
-      if Time.compare time limit > 0 then true
-      else begin
-        Heap.drop_min h.queue;
-        t.clock <- time;
-        h.live <- h.live - 1;
-        h.h_fired <- h.h_fired + 1;
-        let fn = s.fn in
-        release h i;
-        fn ();
-        heap_run_until t h limit
-      end
-    end
-  end
 
 (* The wheel's [next_time] is pure and cached, so the next-event time is
    read once per iteration; the first pop of a tick pays the slot search
    and the rest of the batch drains at O(1) per event. *)
-let rec wheel_run_until t w limit =
-  let nt = Wheel.next_time w in
+let rec run_until t limit =
+  let nt = Wheel.next_time t.wheel in
   if nt < 0 then false
   else if Time.compare (Time.us nt) limit > 0 then true
   else begin
-    let fn = Wheel.pop w in
+    let fn = Wheel.pop t.wheel in
     t.clock <- Time.us nt;
     fn ();
-    wheel_run_until t w limit
+    run_until t limit
   end
 
-let run_until t limit =
-  match t.impl with
-  | H h -> heap_run_until t h limit
-  | W w -> wheel_run_until t w limit
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type telemetry = {
-  tel_backend : backend;
-  events_fired : int;
-  cancels_reclaimed : int;
-  cascades : int;
-}
+type telemetry = { events_fired : int; cancels_reclaimed : int; cascades : int }
 
 let telemetry t =
-  match t.impl with
-  | H h ->
-      {
-        tel_backend = Heap;
-        events_fired = h.h_fired;
-        cancels_reclaimed = h.h_reclaimed;
-        cascades = 0;
-      }
-  | W w ->
-      {
-        tel_backend = Wheel;
-        events_fired = Wheel.fired w;
-        cancels_reclaimed = Wheel.cancelled w;
-        cascades = Wheel.cascades w;
-      }
+  {
+    events_fired = Wheel.fired t.wheel;
+    cancels_reclaimed = Wheel.cancelled t.wheel;
+    cascades = Wheel.cascades t.wheel;
+  }

@@ -6,30 +6,25 @@
     the engine pops events in time order and invokes their callbacks, which
     in turn schedule more events.
 
-    Two event-queue backends share identical observable semantics (firing
-    order including same-time FIFO stability, clock behaviour, handle
-    lifecycle): the default hierarchical {!Wheel} (O(1) schedule and
-    cancel with true removal, whole-tick batch dispatch) and the original
-    binary {!Heap} (O(log n) operations, lazy cancellation), selectable
-    with [VSWAPPER_ENGINE=heap|wheel] or per instance via {!create}. *)
+    The queue is the hierarchical timing {!Wheel}: O(1) schedule and
+    cancel with true removal, whole-tick batch dispatch, FIFO among
+    events queued for the same time. *)
 
 type t
 
-(** Event-queue backend.  {!create} defaults to {!default_backend}. *)
-type backend = Heap | Wheel
+(** The event queue behind every engine.  There is only one; the type,
+    {!default_backend} and {!backend_name} remain because the benchmark
+    ([simbench]) prints the engine in the provenance line of its
+    report. *)
+type backend = Wheel
 
-(** The process-wide default: [Heap] when [VSWAPPER_ENGINE=heap] is set,
-    otherwise [Wheel].  An unknown value warns once on stderr and falls
-    back to the wheel. *)
 val default_backend : unit -> backend
-
 val backend_name : backend -> string
 
 (** Handle to a scheduled event, usable with {!cancel}.  Handles are
     generation-counted: the underlying event record is recycled through a
-    freelist the moment the event fires (or is cancelled — immediately
-    under the wheel, at the next drain under the heap), and a handle held
-    past that point goes stale — cancelling a stale handle is a
+    freelist the moment the event fires or is cancelled, and a handle
+    held past that point goes stale — cancelling a stale handle is a
     guaranteed no-op. *)
 type event
 
@@ -37,10 +32,7 @@ type event
     the rest state of a [mutable] timer field without boxing an option. *)
 val null : event
 
-val create : ?backend:backend -> unit -> t
-
-(** [backend t] is the backend this engine was created with. *)
-val backend : t -> backend
+val create : unit -> t
 
 (** [now t] is the current virtual time. *)
 val now : t -> Time.t
@@ -63,19 +55,12 @@ val run_after : t -> Time.t -> (unit -> unit) -> unit
 
 (** [cancel t ev] prevents a pending event from firing.  Cancelling an
     already-fired, already-cancelled, stale, or {!null} handle is a
-    no-op.  Under the wheel backend this is O(1) true removal: the
-    record is unlinked and recycled immediately, so
-    {!cancelled_pending} stays 0. *)
+    no-op.  This is O(1) true removal: the record is unlinked and
+    recycled immediately. *)
 val cancel : t -> event -> unit
 
 (** [pending t] is the number of not-yet-fired, not-cancelled events. *)
 val pending : t -> int
-
-(** [cancelled_pending t] is the number of cancelled-but-still-queued
-    records awaiting lazy reclamation.  Identically 0 under the wheel
-    backend; under the heap backend it grows with cancels and shrinks as
-    drains pop the dead records. *)
-val cancelled_pending : t -> int
 
 (** [step t] fires the next event, advancing the clock.  Returns [false] if
     no events remain. *)
@@ -92,14 +77,11 @@ val run_until : t -> Time.t -> bool
 
 (** Counters accumulated over the engine's lifetime. *)
 type telemetry = {
-  tel_backend : backend;
   events_fired : int;  (** callbacks actually invoked *)
   cancels_reclaimed : int;
-      (** cancelled records whose storage was recycled: every cancel under
-          the wheel (removal is immediate), drained tombstones under the
-          heap *)
-  cascades : int;
-      (** wheel-level slot redistributions while advancing; 0 for heap *)
+      (** cancelled records whose storage was recycled (every cancel of a
+          live handle: removal is immediate) *)
+  cascades : int;  (** wheel-level slot redistributions while advancing *)
 }
 
 val telemetry : t -> telemetry

@@ -53,8 +53,8 @@ type 'a t = {
   mutable n_cascades : int;
 }
 
-(* The value array trick from [Heap]: an immediate dummy keeps the slab
-   generic and lets released records drop their payloads. *)
+(* An immediate dummy keeps the slab generic and lets released records
+   drop their payloads. *)
 let dummy : unit -> 'a = fun () -> Obj.magic 0
 
 let sentinel () =

@@ -46,8 +46,8 @@ let of_disk disk =
       (fun ~sector ~nsectors ~queue ~attempt k ->
         Disk.submit disk ~sector ~nsectors ~kind:Disk.Read ~queue ~attempt k);
     write =
-      (fun ~queue ~sector ~nsectors ->
-        Disk.write_buffered ~queue disk ~sector ~nsectors);
+      (fun ~queue:_ ~sector ~nsectors ->
+        Disk.write_buffered disk ~sector ~nsectors);
     admit = (fun ~sector:_ -> true);
     release = (fun ~sector:_ ~nsectors:_ -> ());
     used_bytes = (fun () -> 0);

@@ -19,7 +19,6 @@ type config = {
   idle_flush_delay_us : int;
   num_queues : int;
   per_queue_depth : int;
-  destage_queues : int;
 }
 
 let default_config =
@@ -38,7 +37,6 @@ let default_config =
     idle_flush_delay_us = 3_000;
     num_queues = 1;
     per_queue_depth = 1;
-    destage_queues = 1;
   }
 
 type request = {
@@ -51,20 +49,16 @@ type request = {
 
 (* One NVMe-style submission queue with its own service channel: a
    private sorted pending set, C-LOOK cursor (head), and up to
-   [per_queue_depth] batches on the media at once.  The first
-   [destage_queues] queues double as destage channels for the shared
-   write buffer — each with its own [flushing] flag, so a
-   writeback-heavy workload no longer serializes destaging behind
-   queue 0 while the other channels idle.  With the default
-   [destage_queues = 1], a single-queue device degenerates to the
-   classic one-spindle elevator. *)
+   [per_queue_depth] batches on the media at once.  Queue 0 doubles as
+   the destage channel for the shared write buffer.  A single-queue
+   device degenerates to the classic one-spindle elevator. *)
 type queue = {
   qid : int;
   mutable reads : request list;  (* sorted by (sector, seq) *)
   mutable nreads : int;
   mutable head : int;  (* sector just past this channel's last transfer *)
   mutable in_service : int;  (* batches currently on the media *)
-  mutable flushing : bool;  (* a destage chunk occupies this channel *)
+  mutable flushing : bool;  (* a destage chunk is on the media (queue 0 only) *)
   mutable batches : int;  (* lifetime media batches served here *)
   mutable depth_highwater : int;
 }
@@ -95,8 +89,7 @@ let create ~engine ~stats ?(faults = Faults.Plan.none) config =
     engine;
     stats;
     config = { config with num_queues = nq;
-               per_queue_depth = max 1 config.per_queue_depth;
-               destage_queues = max 1 (min nq config.destage_queues) };
+               per_queue_depth = max 1 config.per_queue_depth };
     faults;
     queues =
       Array.init nq (fun qid ->
@@ -357,7 +350,7 @@ let enter_service t q =
    here iterates a hashtable — so output is byte-identical at any
    [--jobs] width. *)
 let rec pump t q =
-  if q.qid < t.config.destage_queues then pump0 t q else pump_reads t q
+  if q.qid = 0 then pump0 t q else pump_reads t q
 
 and pump_reads t q =
   if q.in_service < t.config.per_queue_depth && q.reads <> [] then
@@ -465,12 +458,10 @@ and arm_idle_timer t =
            (Sim.Time.us t.config.idle_flush_delay_us)
            (fun () ->
              t.idle_timer <- Sim.Engine.null;
-             (* Destage in the background only if idle right now; with
-                several destage channels, start one chunk on each. *)
-             if total_in_service t = 0 && total_reads t = 0 then
-               for qid = 0 to t.config.destage_queues - 1 do
-                 if t.write_runs <> [] then flush_chunk t t.queues.(qid)
-               done))
+             (* Destage in the background only if idle right now. *)
+             if total_in_service t = 0 && total_reads t = 0
+                && t.write_runs <> []
+             then flush_chunk t t.queues.(0)))
 
 and start_batch t q = function
   | From_buffer req ->
@@ -558,20 +549,17 @@ let submit t ~sector ~nsectors ~kind ?(queue = 0) ?(attempt = 0) completion =
       (* Buffered-write acks always succeed: the cache absorbed the data
          (media errors on destage are invisible to the submitter, as on
          a real write-back drive).  The data lands in the shared buffer
-         regardless of [queue]; the argument picks which destage channel
-         gets kicked, folded into [0, destage_queues). *)
+         regardless of [queue], and queue 0 destages it. *)
       (Sim.Engine.run_after t.engine dt (fun () ->
              completion { result = Ok (); service = dt }));
-      let dqs = t.config.destage_queues in
-      pump0 t t.queues.(((queue mod dqs) + dqs) mod dqs)
+      pump0 t t.queues.(0)
 
 (* Buffered write without a completion event: for fire-and-forget
    destaging traffic (e.g. swap-out) whose ack nobody awaits. *)
-let write_buffered ?(queue = 0) t ~sector ~nsectors =
+let write_buffered t ~sector ~nsectors =
   check_bounds t ~who:"write_buffered" ~sector ~nsectors;
   add_write_run t sector nsectors;
-  let dqs = t.config.destage_queues in
-  pump0 t t.queues.(((queue mod dqs) + dqs) mod dqs)
+  pump0 t t.queues.(0)
 
 let queue_depth t =
   total_reads t + List.length t.write_runs + total_in_service t

@@ -250,7 +250,7 @@ let account_read t ~tier (reply : Backend.reply) =
 let swap_out t ~slot ~queue =
   let sector = Swap_area.sector_of_slot t.swap slot in
   if t.passthrough then
-    Disk.write_buffered ~queue t.disk ~sector ~nsectors:page_sectors
+    Disk.write_buffered t.disk ~sector ~nsectors:page_sectors
   else if t.fast_degraded then begin
     (* Failover: the fast tier is evacuating; every new admission goes
        straight to the healthy tier. *)

@@ -1,5 +1,5 @@
 (* Unit and property tests for the simulation substrate: virtual time,
-   the deterministic PRNG, the stable binary heap, and the engine. *)
+   the deterministic PRNG, and the engine with its timing wheel. *)
 
 let check = Alcotest.check
 let qcheck = Test_util.qcheck
@@ -81,125 +81,11 @@ let rng_float_bounds =
       v >= 0.0 && v < 3.5)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let heap_basic () =
-  let h = Sim.Heap.create () in
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-  Sim.Heap.add h ~priority:5 "five";
-  Sim.Heap.add h ~priority:1 "one";
-  Sim.Heap.add h ~priority:3 "three";
-  check Alcotest.int "length" 3 (Sim.Heap.length h);
-  check Alcotest.(option (pair int string)) "peek" (Some (1, "one")) (Sim.Heap.peek_min h);
-  check Alcotest.(option (pair int string)) "pop1" (Some (1, "one")) (Sim.Heap.pop_min h);
-  check Alcotest.(option (pair int string)) "pop2" (Some (3, "three")) (Sim.Heap.pop_min h);
-  check Alcotest.(option (pair int string)) "pop3" (Some (5, "five")) (Sim.Heap.pop_min h);
-  check Alcotest.(option (pair int string)) "pop4" None (Sim.Heap.pop_min h)
-
-let heap_stable_at_equal_priority () =
-  let h = Sim.Heap.create () in
-  List.iteri (fun i v -> Sim.Heap.add h ~priority:(i mod 2) v) [ "a"; "b"; "c"; "d"; "e" ];
-  (* priorities: a:0 b:1 c:0 d:1 e:0 -> pops a,c,e (FIFO within 0), b,d *)
-  let pops = List.init 5 (fun _ -> snd (Option.get (Sim.Heap.pop_min h))) in
-  Alcotest.(check (list string)) "stable" [ "a"; "c"; "e"; "b"; "d" ] pops
-
-let heap_clear () =
-  let h = Sim.Heap.create () in
-  Sim.Heap.add h ~priority:1 "x";
-  Sim.Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Sim.Heap.is_empty h);
-  check Alcotest.(option (pair int string)) "no peek" None (Sim.Heap.peek_min h)
-
-let heap_sorts =
-  QCheck.Test.make ~name:"heap: pops in sorted order" ~count:200
-    QCheck.(list small_int)
-    (fun l ->
-      let h = Sim.Heap.create () in
-      List.iter (fun p -> Sim.Heap.add h ~priority:p p) l;
-      let rec drain acc =
-        match Sim.Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare l)
-
-let heap_unboxed_accessors () =
-  let h = Sim.Heap.create () in
-  Alcotest.check_raises "top_priority on empty"
-    (Invalid_argument "Heap.top_priority: empty heap") (fun () ->
-      ignore (Sim.Heap.top_priority h));
-  Alcotest.check_raises "top on empty" (Invalid_argument "Heap.top: empty heap")
-    (fun () -> ignore (Sim.Heap.top h));
-  Alcotest.check_raises "drop_min on empty"
-    (Invalid_argument "Heap.drop_min: empty heap") (fun () -> Sim.Heap.drop_min h);
-  Sim.Heap.add h ~priority:7 "seven";
-  Sim.Heap.add h ~priority:2 "two";
-  check Alcotest.int "top_priority" 2 (Sim.Heap.top_priority h);
-  check Alcotest.string "top" "two" (Sim.Heap.top h);
-  Sim.Heap.drop_min h;
-  check Alcotest.(option (pair int string)) "drop removed the min"
-    (Some (7, "seven"))
-    (Sim.Heap.pop_min h)
-
-(* Interleave pushes and pops in a random order against a sorted-list
-   model.  Values record insertion order, so this also checks that ties
-   drain FIFO-stably — including across pops that shrink and re-sift the
-   backing arrays. *)
-let heap_interleaved_stable =
-  QCheck.Test.make
-    ~name:"heap: random push/pop interleavings drain sorted and FIFO-stable"
-    ~count:300
-    (* Some None = pop; Some p = push with priority p (small range forces
-       ties). *)
-    QCheck.(list (option (int_range 0 8)))
-    (fun ops ->
-      let h = Sim.Heap.create () in
-      let model = ref [] (* sorted (priority, insertion_seq) list *)
-      and seq = ref 0
-      and ok = ref true in
-      let insert (p, s) =
-        let rec go = function
-          | [] -> [ (p, s) ]
-          | (p', s') :: rest when p' < p || (p' = p && s' < s) ->
-              (p', s') :: go rest
-          | rest -> (p, s) :: rest
-        in
-        model := go !model
-      in
-      List.iter
-        (fun op ->
-          match op with
-          | Some p ->
-              Sim.Heap.add h ~priority:p !seq;
-              insert (p, !seq);
-              incr seq
-          | None -> (
-              match (Sim.Heap.pop_min h, !model) with
-              | None, [] -> ()
-              | Some got, expected :: rest ->
-                  if got <> expected then ok := false;
-                  model := rest
-              | Some _, [] | None, _ :: _ -> ok := false))
-        ops;
-      (* Drain whatever remains and compare against the model tail. *)
-      let rec drain acc =
-        match Sim.Heap.pop_min h with
-        | None -> List.rev acc
-        | Some pv -> drain (pv :: acc)
-      in
-      !ok && drain [] = !model)
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every engine test runs against both event-queue backends: the default
-   timing wheel and the `VSWAPPER_ENGINE=heap` binary heap.  Observable
-   semantics must be identical. *)
-
-let engine_ordering backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_ordering () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 30) (fun () -> log := 30 :: !log));
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> log := 10 :: !log));
@@ -208,8 +94,8 @@ let engine_ordering backend () =
   Alcotest.(check (list int)) "fires in order" [ 10; 20; 30 ] (List.rev !log);
   check Alcotest.int "clock at last event" 30 (Sim.Engine.now e)
 
-let engine_cascade backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_cascade () =
+  let e = Sim.Engine.create () in
   let count = ref 0 in
   let rec tick n () =
     if n > 0 then begin
@@ -222,8 +108,8 @@ let engine_cascade backend () =
   check Alcotest.int "all ticks" 10 !count;
   check Alcotest.int "clock" 55 (Sim.Engine.now e)
 
-let engine_cancel backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_cancel () =
+  let e = Sim.Engine.create () in
   let fired = ref false in
   let ev = Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := true) in
   Sim.Engine.cancel e ev;
@@ -233,15 +119,15 @@ let engine_cancel backend () =
   (* double-cancel is a no-op *)
   Sim.Engine.cancel e ev
 
-let engine_past_rejected backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_past_rejected () =
+  let e = Sim.Engine.create () in
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 50) (fun () -> ()));
   Sim.Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: 10 is in the past (now=50)")
     (fun () -> ignore (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> ())))
 
-let engine_run_until backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_run_until () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   List.iter
     (fun t -> ignore (Sim.Engine.schedule_at e (Sim.Time.us t) (fun () -> log := t :: !log)))
@@ -256,8 +142,8 @@ let engine_run_until backend () =
 (* Regression: an event scheduled exactly at the limit must fire during
    [run_until limit] (the cutoff is events *after* the limit), and the
    comparison must go through [Time.compare], not raw ints. *)
-let engine_run_until_at_limit backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_run_until_at_limit () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   List.iter
     (fun t ->
@@ -278,8 +164,8 @@ let engine_run_until_at_limit backend () =
 (* run_at/run_after events recycle through a freelist; interleave them
    with cancellable schedule_at handles to check neither corrupts the
    other. *)
-let engine_recycled_events backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_recycled_events () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   for round = 0 to 2 do
     let base = Sim.Engine.now e in
@@ -309,8 +195,8 @@ let engine_recycled_events backend () =
 (* Handles are generation-counted: cancelling after the event fired is
    a no-op (it used to corrupt the pending count), and a stale handle
    never cancels the unrelated event that recycled its slot. *)
-let engine_cancel_after_fire backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_cancel_after_fire () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   let h1 = Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := 1 :: !fired) in
   ignore (Sim.Engine.schedule_at e (Sim.Time.us 20) (fun () -> fired := 2 :: !fired));
@@ -322,8 +208,8 @@ let engine_cancel_after_fire backend () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "both fired" [ 1; 2 ] (List.rev !fired)
 
-let engine_stale_handle_spares_slot_reuser backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_stale_handle_spares_slot_reuser () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   let h1 = Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := 1 :: !fired) in
   Sim.Engine.run e;
@@ -334,11 +220,10 @@ let engine_stale_handle_spares_slot_reuser backend () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "both fired" [ 1; 2 ] (List.rev !fired)
 
-(* Cancelled records are reclaimed on both drain paths (run/run_until
-   pops them off the top; step drops them on the way to the next live
-   event) and their slots recycle cleanly. *)
-let engine_cancelled_reclaimed_by_step backend () =
-  let e = Sim.Engine.create ~backend () in
+(* A cancelled record never fires on the [step] drain path, and its
+   slot recycles cleanly for the next round. *)
+let engine_cancelled_reclaimed_by_step () =
+  let e = Sim.Engine.create () in
   let leaked = ref false in
   for _round = 1 to 3 do
     let h =
@@ -353,15 +238,12 @@ let engine_cancelled_reclaimed_by_step backend () =
   Alcotest.(check bool) "cancelled never fired" false !leaked;
   check Alcotest.int "queue empty" 0 (Sim.Engine.pending e)
 
-let engine_monotone_time backend =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "engine(%s): callbacks fire in non-decreasing time"
-         (Sim.Engine.backend_name backend))
+let engine_monotone_time =
+  QCheck.Test.make ~name:"engine(wheel): callbacks fire in non-decreasing time"
     ~count:200
     QCheck.(list (int_range 0 10_000))
     (fun times ->
-      let e = Sim.Engine.create ~backend () in
+      let e = Sim.Engine.create () in
       let fired = ref [] in
       List.iter
         (fun t ->
@@ -380,8 +262,8 @@ exception Boom
    consistent: the fired event's record is recycled before the callback
    runs, so nothing leaks, the clock stays where the raising event fired,
    and the remaining events still run afterwards. *)
-let engine_exception_safety backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_exception_safety () =
+  let e = Sim.Engine.create () in
   let fired = ref [] in
   ignore
     (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> fired := 1 :: !fired));
@@ -406,8 +288,8 @@ let engine_exception_safety backend () =
   Alcotest.(check int) "all survivors fired" 39 (List.length !fired);
   Alcotest.(check int) "none left" 0 (Sim.Engine.pending e)
 
-let engine_same_time_fifo backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_same_time_fifo () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   List.iter
     (fun v -> ignore (Sim.Engine.schedule_at e (Sim.Time.us 10) (fun () -> log := v :: !log)))
@@ -417,11 +299,10 @@ let engine_same_time_fifo backend () =
 
 (* An event scheduled for the current instant from inside a callback
    joins the tail of that instant: it fires after the events already
-   queued at the same time and before any later time — identically on
-   both backends (the heap by seq order; the wheel by draining the
-   refilled current slot as a later batch at the same tick). *)
-let engine_same_tick_reentry backend () =
-  let e = Sim.Engine.create ~backend () in
+   queued at the same time and before any later time — the wheel drains
+   the refilled current slot as a later batch at the same tick. *)
+let engine_same_tick_reentry () =
+  let e = Sim.Engine.create () in
   let log = ref [] in
   ignore
     (Sim.Engine.schedule_at e (Sim.Time.us 50) (fun () ->
@@ -435,36 +316,8 @@ let engine_same_tick_reentry backend () =
   Alcotest.(check (list int)) "reentry after the batch, before the next tick"
     [ 0; 1; 9; 2 ] (List.rev !log)
 
-(* [cancelled_pending] separates lazy cancellation (heap) from true
-   removal (wheel): the wheel must report 0 after every cancel — no dead
-   record is ever left queued — while the heap accumulates tombstones
-   that the next drain reclaims. *)
-let engine_cancelled_pending backend () =
-  let e = Sim.Engine.create ~backend () in
-  let hs =
-    List.init 8 (fun i ->
-        Sim.Engine.schedule_at e (Sim.Time.us (10 * (i + 1))) (fun () -> ()))
-  in
-  ignore (Sim.Engine.schedule_at e (Sim.Time.us 500) (fun () -> ()));
-  List.iteri
-    (fun i h ->
-      Sim.Engine.cancel e h;
-      match backend with
-      | Sim.Engine.Wheel ->
-          check Alcotest.int "wheel: zero dead records queued" 0
-            (Sim.Engine.cancelled_pending e)
-      | Sim.Engine.Heap ->
-          check Alcotest.int "heap: tombstones accumulate" (i + 1)
-            (Sim.Engine.cancelled_pending e))
-    hs;
-  check Alcotest.int "pending counts live events only" 1 (Sim.Engine.pending e);
-  Sim.Engine.run e;
-  check Alcotest.int "drain reclaims every tombstone" 0
-    (Sim.Engine.cancelled_pending e);
-  check Alcotest.int "queue empty" 0 (Sim.Engine.pending e)
-
-let engine_telemetry backend () =
-  let e = Sim.Engine.create ~backend () in
+let engine_telemetry () =
+  let e = Sim.Engine.create () in
   for i = 1 to 10 do
     ignore (Sim.Engine.schedule_at e (Sim.Time.us (i * 10)) (fun () -> ()))
   done;
@@ -472,9 +325,6 @@ let engine_telemetry backend () =
   Sim.Engine.cancel e h;
   Sim.Engine.run e;
   let tel = Sim.Engine.telemetry e in
-  Alcotest.(check string) "backend recorded"
-    (Sim.Engine.backend_name backend)
-    (Sim.Engine.backend_name tel.Sim.Engine.tel_backend);
   Alcotest.(check int) "fired = callbacks invoked" 10 tel.Sim.Engine.events_fired;
   Alcotest.(check int) "cancelled record reclaimed exactly once" 1
     tel.Sim.Engine.cancels_reclaimed
@@ -487,7 +337,7 @@ let engine_telemetry backend () =
    262144 by level 3.  Aligned-window placement and cascading must fire
    boundary±1 times in exact order with exact clocks. *)
 let wheel_level_boundary () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let times = [ 65; 4096; 63; 262145; 4095; 64; 262143; 4097; 262144; 1; 0 ] in
   let log = ref [] in
   List.iter
@@ -505,7 +355,7 @@ let wheel_level_boundary () =
    in time order with FIFO ties, and the far events must have cascaded
    down through the levels on the way. *)
 let wheel_deep_cascade () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let log = ref [] in
   let add t v =
     ignore (Sim.Engine.schedule_at e (Sim.Time.us t) (fun () -> log := v :: !log))
@@ -528,10 +378,10 @@ let wheel_deep_cascade () =
 (* Cancelling from inside a callback while a cascaded batch is draining:
    a later same-tick event (already relocated into the current level-0
    slot), a cascaded-but-not-yet-due event one tick over, and an event
-   still parked at level 1 must all unlink cleanly, leaving no dead
-   record queued. *)
+   still parked at level 1 must all unlink cleanly, each recycled at
+   once. *)
 let wheel_cancel_during_cascade () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let log = ref [] in
   (* Tick 100 lives on level 1 from wheel time 0, so reaching it forces a
      cascade; the handles below are all in flight mid-drain when event 0
@@ -556,15 +406,15 @@ let wheel_cancel_during_cascade () =
   Sim.Engine.run e;
   Alcotest.(check (list int)) "cancelled events skipped mid-batch" [ 0; 1; 5 ]
     (List.rev !log);
-  Alcotest.(check int) "no dead records queued" 0
-    (Sim.Engine.cancelled_pending e);
+  Alcotest.(check int) "each cancel recycled its record" 3
+    (Sim.Engine.telemetry e).Sim.Engine.cancels_reclaimed;
   Alcotest.(check int) "queue empty" 0 (Sim.Engine.pending e)
 
 (* Peeking must not advance the wheel: after [run_until] returns with a
    far-future event still queued, a fresh event far earlier than it (but
    after the engine clock) must be accepted and fire first. *)
 let wheel_peek_does_not_advance () =
-  let e = Sim.Engine.create ~backend:Sim.Engine.Wheel () in
+  let e = Sim.Engine.create () in
   let log = ref [] in
   ignore
     (Sim.Engine.schedule_at e (Sim.Time.us 1_000_000) (fun () ->
@@ -576,22 +426,143 @@ let wheel_peek_does_not_advance () =
   Alcotest.(check (list int)) "late earlier insert fires first" [ 1; 2 ]
     (List.rev !log)
 
+(* Reference model for the differential: pending events in a stdlib Map
+   keyed by (time, schedule sequence number), so the map's order is the
+   firing order — earliest time first, FIFO among equal times.  The key
+   is the handle: a fired or cancelled event's key has left the map, so
+   cancelling it again is a no-op.  The clock moves only when an event
+   fires, and scheduling in the past raises. *)
+module Ref_engine = struct
+  module Q = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type t = {
+    mutable now : int;
+    mutable seq : int;
+    mutable queue : (unit -> unit) Q.t;
+  }
+
+  let create () = { now = 0; seq = 0; queue = Q.empty }
+
+  let schedule_at t time fn =
+    if time < t.now then invalid_arg "Ref_engine.schedule_at: in the past";
+    let key = (time, t.seq) in
+    t.seq <- t.seq + 1;
+    t.queue <- Q.add key fn t.queue;
+    key
+
+  let cancel t key = t.queue <- Q.remove key t.queue
+  let pending t = Q.cardinal t.queue
+
+  (* Fire the events due at or before [limit]; [true] if any remain. *)
+  let rec run_until t limit =
+    match Q.min_binding_opt t.queue with
+    | None -> false
+    | Some ((time, _), _) when time > limit -> true
+    | Some (((time, _) as key), fn) ->
+        t.queue <- Q.remove key t.queue;
+        t.now <- time;
+        fn ();
+        run_until t limit
+end
+
+(* The operations a trace drives, over either event queue; ['h] is the
+   queue's handle type.  Times are in microseconds. *)
+type 'h queue_ops = {
+  now : unit -> int;
+  schedule_after : int -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  run_until : int -> bool;
+  pending : unit -> int;
+}
+
+let engine_ops () =
+  let e = Sim.Engine.create () in
+  {
+    now = (fun () -> Sim.Time.to_us (Sim.Engine.now e));
+    schedule_after =
+      (fun d fn -> Sim.Engine.schedule_after e (Sim.Time.us d) fn);
+    cancel = Sim.Engine.cancel e;
+    run_until = (fun limit -> Sim.Engine.run_until e (Sim.Time.us limit));
+    pending = (fun () -> Sim.Engine.pending e);
+  }
+
+let ref_ops () =
+  let m = Ref_engine.create () in
+  {
+    now = (fun () -> m.now);
+    schedule_after = (fun d fn -> Ref_engine.schedule_at m (m.now + d) fn);
+    cancel = Ref_engine.cancel m;
+    run_until = Ref_engine.run_until m;
+    pending = (fun () -> Ref_engine.pending m);
+  }
+
 (* The differential harness: random schedule / cancel / run_until traces
-   replayed against both backends must produce the same observable
-   outcome — firing order as (id, time) pairs, final clock, and final
-   pending count.  Far schedules (x10000) push events past the wheel
-   horizon so the overflow list is exercised too. *)
-type trace_op = Sched of int | Sched_far of int | Cancel_nth of int | Run_for of int
+   replayed against the engine and the reference model must produce the
+   same observable outcome — firing order as (id, time) pairs, final
+   clock, and final pending count.  Short schedules ([0, 4]) make
+   same-time ties common; far schedules (x10000) push events past the
+   wheel horizon so the overflow list is exercised too.  The
+   [Then_*] events act from inside their own callback when they fire:
+   schedule a follow-up [d] from now ([d = 0] re-enters the current
+   tick), or cancel the k-th most recent handle, which may already have
+   fired (a stale handle). *)
+type trace_op =
+  | Sched of int
+  | Sched_far of int
+  | Cancel_nth of int
+  | Run_for of int
+  | Then_sched of int * int
+  | Then_cancel of int * int
+
+let replay (mk : unit -> 'h queue_ops) ops =
+  let q = mk () in
+  let fired = ref [] and handles = ref [] and next_id = ref 0 in
+  let cancel_nth k = Option.iter q.cancel (List.nth_opt !handles k) in
+  let sched d on_fire =
+    let id = !next_id in
+    incr next_id;
+    let h =
+      q.schedule_after d (fun () ->
+          fired := (id, q.now ()) :: !fired;
+          on_fire ())
+    in
+    handles := h :: !handles
+  in
+  List.iter
+    (function
+      | Sched d -> sched d ignore
+      | Sched_far d -> sched (d * 10_000) ignore
+      | Cancel_nth k -> cancel_nth k
+      | Run_for d -> ignore (q.run_until (q.now () + d) : bool)
+      | Then_sched (d, d') -> sched d (fun () -> sched d' ignore)
+      | Then_cancel (d, k) -> sched d (fun () -> cancel_nth k))
+    ops;
+  ignore (q.run_until max_int : bool);
+  (List.rev !fired, q.now (), q.pending ())
 
 let engine_differential =
   let op_gen =
     QCheck.Gen.(
       frequency
         [
-          (6, map (fun d -> Sched d) (int_range 0 2_000));
+          (4, map (fun d -> Sched d) (int_range 0 2_000));
+          (2, map (fun d -> Sched d) (int_range 0 4));
           (1, map (fun d -> Sched_far d) (int_range 0 4_000));
           (2, map (fun k -> Cancel_nth k) (int_range 0 30));
           (2, map (fun d -> Run_for d) (int_range 0 3_000));
+          ( 2,
+            map2
+              (fun d d' -> Then_sched (d, d'))
+              (int_range 0 2_000)
+              (frequency [ (1, return 0); (2, int_range 0 300) ]) );
+          ( 2,
+            map2
+              (fun d k -> Then_cancel (d, k))
+              (int_range 0 2_000) (int_range 0 30) );
         ])
   in
   let print_op = function
@@ -599,69 +570,16 @@ let engine_differential =
     | Sched_far d -> Printf.sprintf "Sched_far %d" d
     | Cancel_nth k -> Printf.sprintf "Cancel_nth %d" k
     | Run_for d -> Printf.sprintf "Run_for %d" d
+    | Then_sched (d, d') -> Printf.sprintf "Then_sched (%d, %d)" d d'
+    | Then_cancel (d, k) -> Printf.sprintf "Then_cancel (%d, %d)" d k
   in
   let arb =
     QCheck.make
       ~print:(QCheck.Print.list print_op)
       QCheck.Gen.(list_size (int_range 0 60) op_gen)
   in
-  QCheck.Test.make ~name:"engine: wheel = heap on random traces" ~count:300 arb
-    (fun ops ->
-      let replay backend =
-        let e = Sim.Engine.create ~backend () in
-        let fired = ref [] in
-        let handles = ref [] in
-        let next_id = ref 0 in
-        let sched d =
-          let id = !next_id in
-          incr next_id;
-          let h =
-            Sim.Engine.schedule_after e (Sim.Time.us d) (fun () ->
-                fired := (id, Sim.Time.to_us (Sim.Engine.now e)) :: !fired)
-          in
-          handles := h :: !handles
-        in
-        List.iter
-          (function
-            | Sched d -> sched d
-            | Sched_far d -> sched (d * 10_000)
-            | Cancel_nth k -> (
-                match List.nth_opt !handles k with
-                | Some h -> Sim.Engine.cancel e h
-                | None -> ())
-            | Run_for d ->
-                ignore
-                  (Sim.Engine.run_until e
-                     (Sim.Time.add (Sim.Engine.now e) (Sim.Time.us d))))
-          ops;
-        Sim.Engine.run e;
-        ( List.rev !fired,
-          Sim.Time.to_us (Sim.Engine.now e),
-          Sim.Engine.pending e )
-      in
-      replay Sim.Engine.Wheel = replay Sim.Engine.Heap)
-
-let engine_cases backend =
-  let tc name f = Alcotest.test_case name `Quick (f backend) in
-  ( Printf.sprintf "sim:engine(%s)" (Sim.Engine.backend_name backend),
-    [
-      tc "ordering" engine_ordering;
-      tc "cascading events" engine_cascade;
-      tc "cancellation" engine_cancel;
-      tc "past rejected" engine_past_rejected;
-      tc "run_until" engine_run_until;
-      tc "run_until: event exactly at limit" engine_run_until_at_limit;
-      tc "freelist event recycling" engine_recycled_events;
-      tc "cancel after fire is a no-op" engine_cancel_after_fire;
-      tc "stale handle spares slot reuser" engine_stale_handle_spares_slot_reuser;
-      tc "step reclaims cancelled records" engine_cancelled_reclaimed_by_step;
-      tc "same-time FIFO" engine_same_time_fifo;
-      tc "same-tick reentry ordering" engine_same_tick_reentry;
-      tc "exception safety" engine_exception_safety;
-      tc "cancelled_pending accounting" engine_cancelled_pending;
-      tc "telemetry counters" engine_telemetry;
-      qcheck (engine_monotone_time backend);
-    ] )
+  QCheck.Test.make ~name:"engine: wheel = reference model on random traces"
+    ~count:300 arb (fun ops -> replay engine_ops ops = replay ref_ops ops)
 
 let tests =
     [
@@ -674,28 +592,43 @@ let tests =
         [
           Alcotest.test_case "deterministic" `Quick rng_deterministic;
           Alcotest.test_case "split independence" `Quick rng_split_independent;
-          Alcotest.test_case "exponential positive" `Quick rng_exponential_positive;
+          Alcotest.test_case "exponential positive" `Quick
+            rng_exponential_positive;
           qcheck rng_bounds;
           qcheck rng_int_in_bounds;
           qcheck rng_shuffle_permutes;
           qcheck rng_float_bounds;
         ] );
-      ( "sim:heap",
+      ( "sim:engine(wheel)",
         [
-          Alcotest.test_case "basic ops" `Quick heap_basic;
-          Alcotest.test_case "stability" `Quick heap_stable_at_equal_priority;
-          Alcotest.test_case "clear" `Quick heap_clear;
-          Alcotest.test_case "unboxed accessors" `Quick heap_unboxed_accessors;
-          qcheck heap_sorts;
-          qcheck heap_interleaved_stable;
+          Alcotest.test_case "ordering" `Quick engine_ordering;
+          Alcotest.test_case "cascading events" `Quick engine_cascade;
+          Alcotest.test_case "cancellation" `Quick engine_cancel;
+          Alcotest.test_case "past rejected" `Quick engine_past_rejected;
+          Alcotest.test_case "run_until" `Quick engine_run_until;
+          Alcotest.test_case "run_until: event exactly at limit" `Quick
+            engine_run_until_at_limit;
+          Alcotest.test_case "freelist event recycling" `Quick
+            engine_recycled_events;
+          Alcotest.test_case "cancel after fire is a no-op" `Quick
+            engine_cancel_after_fire;
+          Alcotest.test_case "stale handle spares slot reuser" `Quick
+            engine_stale_handle_spares_slot_reuser;
+          Alcotest.test_case "step reclaims cancelled records" `Quick
+            engine_cancelled_reclaimed_by_step;
+          Alcotest.test_case "same-time FIFO" `Quick engine_same_time_fifo;
+          Alcotest.test_case "same-tick reentry ordering" `Quick
+            engine_same_tick_reentry;
+          Alcotest.test_case "exception safety" `Quick engine_exception_safety;
+          Alcotest.test_case "telemetry counters" `Quick engine_telemetry;
+          qcheck engine_monotone_time;
         ] );
-      engine_cases Sim.Engine.Wheel;
-      engine_cases Sim.Engine.Heap;
       ( "sim:wheel",
         [
           Alcotest.test_case "level-boundary scheduling" `Quick
             wheel_level_boundary;
-          Alcotest.test_case "deep cascade + overflow" `Quick wheel_deep_cascade;
+          Alcotest.test_case "deep cascade + overflow" `Quick
+            wheel_deep_cascade;
           Alcotest.test_case "cancel during cascade" `Quick
             wheel_cancel_during_cascade;
           Alcotest.test_case "peek does not advance the wheel" `Quick

@@ -653,31 +653,6 @@ let destage_retry_budget_bounds_livelock () =
   Alcotest.(check bool) "retries happened first" true
     (stats.Metrics.Stats.destage_transient_retries >= 64)
 
-(* With destage_queues = 2, two distant dirty runs destage on separate
-   queues concurrently, so the drain finishes sooner than the global
-   single-channel destage. *)
-let destage_parallel_queues_faster () =
-  let run destage_queues =
-    let engine = Sim.Engine.create () in
-    let stats = Metrics.Stats.create () in
-    let disk =
-      Storage.Disk.create ~engine ~stats
-        { Storage.Disk.default_config with num_queues = 2; destage_queues }
-    in
-    Storage.Disk.write_buffered ~queue:0 disk ~sector:100_000_000
-      ~nsectors:256;
-    Storage.Disk.write_buffered ~queue:1 disk ~sector:400_000_000
-      ~nsectors:256;
-    Test_util.drain engine;
-    check Alcotest.int "drained" 0 (Storage.Disk.buffered_write_sectors disk);
-    Sim.Time.to_us (Sim.Engine.now engine)
-  in
-  let serial = run 1 in
-  let parallel = run 2 in
-  Alcotest.(check bool)
-    (Printf.sprintf "2 destage queues (%d us) beat 1 (%d us)" parallel serial)
-    true (parallel < serial)
-
 (* ------------------------------------------------------------------ *)
 (* Swap-backend implementations                                        *)
 (* ------------------------------------------------------------------ *)
@@ -991,8 +966,7 @@ let tiers_passthrough_differential =
           (fun (slot, out) ->
             let sector = slot * 8 in
             if out then
-              Storage.Disk.write_buffered ~queue:(slot mod 4) disk ~sector
-                ~nsectors:8
+              Storage.Disk.write_buffered disk ~sector ~nsectors:8
             else
               Storage.Disk.submit disk ~sector ~nsectors:8
                 ~kind:Storage.Disk.Read ~queue:(slot mod 4) (fun _ ->
@@ -1107,8 +1081,6 @@ let tests =
           destage_transient_retries_then_succeeds;
         Alcotest.test_case "retry budget bounds livelock" `Quick
           destage_retry_budget_bounds_livelock;
-        Alcotest.test_case "parallel destage queues faster" `Quick
-          destage_parallel_queues_faster;
       ] );
     ( "storage:backend",
       [
