@@ -11,7 +11,10 @@
 # put in the run's environment, and main.exe flags (e.g. --jobs 4),
 # appended to ARGS.  With JSON set to "json", both runs write the same
 # NAME.json summary and the strict linter parses the file after each
-# write; "-" writes no summary.  On success the RUN_A output is printed.
+# write; "-" writes no summary.  On success the filtered RUN_A output is
+# printed: each alias in bench/dune saves it as NAME.flt and diffs it
+# against the committed golden/NAME.expected, so a change that moves both
+# runs the same way still fails until the golden is promoted.
 set -e
 
 name=$1 filter=$2 json=$3 run_a=$4 run_b=$5
@@ -43,4 +46,4 @@ run "$run_b" "$name-b.out" "$@"
 grep -v "$pattern" "$name-a.out" > "$name-a.flt"
 grep -v "$pattern" "$name-b.out" > "$name-b.flt"
 cmp "$name-a.flt" "$name-b.flt"
-cat "$name-a.out"
+cat "$name-a.flt"

@@ -576,19 +576,15 @@ let emergency_reclaim t ~requester ~need =
   in
   kill_pass ()
 
-(* Allocate a frame for guest page [gpa]; returns (frame, reclaim cost).
-   When the disk's write buffer is saturated by eviction traffic, the
-   allocating context is paced at roughly the media write rate — the
-   balance_dirty_pages effect. *)
-let alloc_frame t g ~gpa ~content ~named ~active ~referenced =
-  let throttle =
-    if
-      Storage.Disk.buffered_write_sectors t.disk
-      > t.config.writeback_throttle_sectors
-    then t.config.writeback_throttle_us
-    else 0
-  in
-  let cost = throttle + ensure_frames t g ~need:1 in
+(* Take a free frame for [g]: reclaim toward its cgroup limit and the
+   global watermarks, then fall back to emergency reclaim.  Returns
+   (frame, reclaim cost).  The frame is -1 when the emergency path chose
+   the requester itself as the OOM victim: its teardown already ran, so
+   using the frame would resurrect a page inside a dead guest and leak
+   it forever, and it goes back instead.  -1 is safe to hand on: every
+   caller's continuation is inert once [killed] is set. *)
+let grab_frame t g =
+  let cost = ensure_frames t g ~need:1 in
   let frame =
     match Frames.alloc t.frames with
     | Some frame -> frame
@@ -602,15 +598,25 @@ let alloc_frame t g ~gpa ~content ~named ~active ~referenced =
             failwith "Hostmm: out of host memory (no frames configured)")
   in
   if g.killed then begin
-    (* The emergency path above chose the requester itself as the OOM
-       victim; its teardown already ran.  Installing now would resurrect
-       a page inside a dead guest and leak the frame forever, so hand
-       the frame back instead.  -1 is safe to return: every caller's
-       continuation is inert once [killed] is set. *)
     Frames.put_back t.frames frame;
     (-1, cost)
   end
-  else begin
+  else (frame, cost)
+
+(* Allocate a frame for guest page [gpa]; returns (frame, reclaim cost).
+   When the disk's write buffer is saturated by eviction traffic, the
+   allocating context is paced at roughly the media write rate — the
+   balance_dirty_pages effect. *)
+let alloc_frame t g ~gpa ~content ~named ~active ~referenced =
+  let throttle =
+    if
+      Storage.Disk.buffered_write_sectors t.disk
+      > t.config.writeback_throttle_sectors
+    then t.config.writeback_throttle_us
+    else 0
+  in
+  let frame, cost = grab_frame t g in
+  if frame >= 0 then begin
     Frames.set_guest_owner t.frames frame ~guest:g.gid ~gpa;
     Frames.set_content t.frames frame content;
     Frames.set_named t.frames frame named;
@@ -623,9 +629,14 @@ let alloc_frame t g ~gpa ~content ~named ~active ~referenced =
       | false, false -> Cgroup.Anon_inactive
     in
     Cgroup.insert g.cgroup id frame;
-    g.ept.(gpa) <- e_present frame;
-    (frame, cost)
-  end
+    g.ept.(gpa) <- e_present frame
+  end;
+  (frame, throttle + cost)
+
+(* A fresh anonymous page the guest is using right now (active,
+   referenced); returns the reclaim cost. *)
+let alloc_anon t g ~gpa content =
+  snd (alloc_frame t g ~gpa ~content ~named:false ~active:true ~referenced:true)
 
 (* ------------------------------------------------------------------ *)
 (* Hypervisor (QEMU) named pages — the false-anonymity substrate        *)
@@ -643,27 +654,16 @@ let hv_touch t g n =
     else begin
       t.stats.host_context_faults <- t.stats.host_context_faults + 1;
       t.stats.hypervisor_code_faults <- t.stats.hypervisor_code_faults + 1;
-      cost := !cost + t.config.hv_refault_us + ensure_frames t g ~need:1;
-      let frame =
-        match Frames.alloc t.frames with
-        | Some frame -> Some frame
-        | None ->
-            emergency_reclaim t ~requester:g.gid ~need:1;
-            Frames.alloc t.frames
-      in
-      match frame with
-      | None -> failwith "Hostmm: out of host memory (no frames configured)"
-      | Some frame when g.killed ->
-          (* Emergency reclaim OOM-killed this guest mid-touch: its
-             hv_frames were already torn down, so don't repopulate. *)
-          Frames.put_back t.frames frame
-      | Some frame ->
-          Frames.set_hv_owner t.frames frame ~guest:g.gid ~idx;
-          Frames.set_content t.frames frame Content.Zero;
-          Frames.set_named t.frames frame true;
-          Frames.set_referenced t.frames frame true;
-          Cgroup.insert g.cgroup Cgroup.File_inactive frame;
-          g.hv_frames.(idx) <- frame
+      let frame, reclaim = grab_frame t g in
+      cost := !cost + t.config.hv_refault_us + reclaim;
+      if frame >= 0 then begin
+        Frames.set_hv_owner t.frames frame ~guest:g.gid ~idx;
+        Frames.set_content t.frames frame Content.Zero;
+        Frames.set_named t.frames frame true;
+        Frames.set_referenced t.frames frame true;
+        Cgroup.insert g.cgroup Cgroup.File_inactive frame;
+        g.hv_frames.(idx) <- frame
+      end
     end
   done;
   !cost
@@ -706,12 +706,36 @@ let handle_read_error t g ~swap_read ~err ~attempt ~retry ~give_up =
       kill_guest t g.gid;
       after t 0 give_up
 
+(* Submit a guest read until it lands: [ok] runs on success; a failure
+   goes through [handle_read_error], whose retry re-enters here. *)
+let rec read_retrying t g ~swap_read ~submit ~ok ~give_up ~attempt =
+  submit ~attempt (fun (reply : Storage.Disk.reply) ->
+      match reply.result with
+      | Ok () -> ok ()
+      | Error err ->
+          handle_read_error t g ~swap_read ~err ~attempt ~give_up
+            ~retry:(read_retrying t g ~swap_read ~submit ~ok ~give_up))
+
+(* The two readahead faults read and install units of their own: a unit
+   is a swap slot for [swapin_cluster] and an image block for
+   [refetch_image].  [read_*] reads [pages] units from [first] on behalf
+   of the faulting page's unit [target]; [install_from_*] installs the
+   page [owner] (a packed (guest, gpa) key) from its unit. *)
+let read_swap t g ~target ~first ~pages ~attempt k =
+  Storage.Tiers.swap_in t.tiers ~slot:target
+    ~sector:(Storage.Swap_area.sector_of_slot t.swap first)
+    ~nsectors:(pages * page_sectors) ~queue:g.gid ~attempt k
+
+let read_image t g ~target:_ ~first ~pages ~attempt k =
+  Storage.Disk.submit t.disk
+    ~sector:(Storage.Vdisk.sector_of_block g.vdisk first)
+    ~nsectors:(pages * page_sectors) ~kind:Storage.Disk.Read ~queue:g.gid
+    ~attempt k
+
 (* Install an anonymous page read back from swap slot [slot], if the
-   world still looks like it did at submission time.  [owner] is a packed
-   (guest, gpa) key. *)
-let install_from_swap t ~slot ~owner ~target =
-  let gid = owner_gid owner and gpa = owner_gpa owner in
-  let g = guest t gid in
+   world still looks like it did at submission time. *)
+let install_from_swap t slot ~owner ~target =
+  let g = guest t (owner_gid owner) and gpa = owner_gpa owner in
   let still_valid =
     Storage.Swap_area.is_allocated t.swap slot
     && Itbl.find t.slot_owner slot ~default:(-1) = owner
@@ -748,7 +772,8 @@ let install_from_swap t ~slot ~owner ~target =
   end
 
 (* Install a Mapper-tracked page re-read from the disk image. *)
-let install_from_image t g ~gpa ~block ~target =
+let install_from_image t block ~owner ~target =
+  let g = guest t (owner_gid owner) and gpa = owner_gpa owner in
   let still_valid =
     let e = g.ept.(gpa) in
     e land 7 = 4 && e_arg e = block
@@ -763,6 +788,120 @@ let install_from_image t g ~gpa ~block ~target =
          ~referenced:target);
     t.stats.mapper_refetches <- t.stats.mapper_refetches + 1
   end
+
+(* Mark in flight the first readahead candidates — (unit, owner) pairs,
+   in read order — that fit the free-frame headroom beyond the target
+   page; returns them with their waiter-list indices. *)
+let mark_readahead t cands =
+  let rec mark n = function
+    | (u, owner) :: rest when n > 0 ->
+        let widx = inflight_add t owner in
+        (u, owner, widx) :: mark (n - 1) rest
+    | _ -> []
+  in
+  mark (Frames.nfree t.frames - 1) cands
+
+(* Unmark readahead neighbours once their read is over, installing each
+   first if it succeeded ([ok]); then run the faults that piggybacked on
+   it. *)
+let rec settle_readahead t ~install ~ok = function
+  | [] -> ()
+  | (u, owner, widx) :: rest ->
+      if ok then install t u ~owner ~target:false;
+      List.iter (fun w -> w ()) (inflight_take t owner widx);
+      settle_readahead t ~install ~ok rest
+
+(* One readahead major fault.  A single read covers units [lo, hi]: the
+   faulting page's [unit] and the [marked] neighbours.  On success the
+   target is installed, then each neighbour, and the fault resumes after
+   [major_fault_us] plus [page_us] per page read.  On failure the
+   neighbours are released uninstalled — readahead is best-effort — and,
+   as the failing sector may be a neighbour's, the target page is
+   retried alone before the guest is charged a retry. *)
+let read_around t g ~gpa ~host_context ~unit ~marked ~swap_read ~read ~install
+    ~page_us k =
+  count_fault t ~host_context;
+  let owner = owner_key ~gid:g.gid ~gpa in
+  let lo = List.fold_left (fun lo (u, _, _) -> min lo u) unit marked in
+  let hi = List.fold_left (fun hi (u, _, _) -> max hi u) unit marked in
+  read t g ~target:unit ~first:lo ~pages:(hi - lo + 1) ~attempt:0
+    (fun (reply : Storage.Disk.reply) ->
+      match reply.result with
+      | Ok () ->
+          install t unit ~owner ~target:true;
+          settle_readahead t ~install ~ok:true marked;
+          after t
+            (t.config.major_fault_us + ((1 + List.length marked) * page_us))
+            k
+      | Error err ->
+          settle_readahead t ~install ~ok:false marked;
+          let retry =
+            read_retrying t g ~swap_read ~give_up:k
+              ~submit:(read t g ~target:unit ~first:unit ~pages:1)
+              ~ok:(fun () ->
+                install t unit ~owner ~target:true;
+                after t (t.config.major_fault_us + page_us) k)
+          in
+          if lo = hi then
+            (* The read was just the target page; the error is its. *)
+            handle_read_error t g ~swap_read ~err ~attempt:0 ~retry
+              ~give_up:k
+          else retry ~attempt:0)
+
+(* Swap-in with cluster readahead: one request covers the naturally
+   aligned cluster around [slot]; every slot in it that still backs a
+   swapped-out page is installed.  Decayed sequentiality shows up here:
+   when neighbouring slots hold unrelated pages, the prefetch wins
+   nothing and every page pays a full random read. *)
+let swapin_cluster t g ~gpa ~slot ~host_context k =
+  let cluster = max 1 (1 lsl t.config.page_cluster) in
+  let s0 = slot - (slot mod cluster) in
+  let s_end = min (s0 + cluster) (Storage.Swap_area.nslots t.swap) in
+  let cands = ref [] in
+  for s = s_end - 1 downto s0 do
+    if s <> slot then begin
+      let owner = Itbl.find t.slot_owner s ~default:(-1) in
+      if
+        owner >= 0
+        && (not (inflight_mem t owner))
+        (* One request has one latency model: readahead never spans
+           backend tiers (constant-true in passthrough mode). *)
+        && Storage.Tiers.same_tier t.tiers slot s
+      then begin
+        let e = (guest t (owner_gid owner)).ept.(owner_gpa owner) in
+        if e land 7 = 3 && e_arg e = s then cands := (s, owner) :: !cands
+      end
+    end
+  done;
+  let marked = mark_readahead t !cands in
+  t.stats.swap_sectors_read <-
+    t.stats.swap_sectors_read + ((1 + List.length marked) * page_sectors);
+  read_around t g ~gpa ~host_context ~unit:slot ~marked ~swap_read:true
+    ~read:read_swap ~install:install_from_swap ~page_us:0 k
+
+(* Fault on a Mapper-discarded page: re-read from the disk image, with
+   readahead over the consecutive run of tracked blocks — which stays
+   sequential forever, the Mapper's answer to decayed sequentiality. *)
+let refetch_image t g ~gpa ~block ~host_context k =
+  let cands = ref [] in
+  List.iter
+    (fun (b, gpas) ->
+      List.iter
+        (fun p ->
+          let e = g.ept.(p) and owner = owner_key ~gid:g.gid ~gpa:p in
+          if
+            p <> gpa
+            && e land 7 = 4
+            && e_arg e = b
+            && not (inflight_mem t owner)
+          then cands := (b, owner) :: !cands)
+        gpas)
+    (Mapper.readahead_window g.mapper ~disk:(Storage.Vdisk.id g.vdisk) ~block
+       ~max:t.config.image_readahead_pages);
+  read_around t g ~gpa ~host_context ~unit:block
+    ~marked:(mark_readahead t (List.rev !cands))
+    ~swap_read:false ~read:read_image ~install:install_from_image
+    ~page_us:t.config.mapper_map_page_us k
 
 (* [fault_in t g ~gpa ~host_context k]: make [gpa] present, charging all
    latencies, then run [k].  [k] itself re-checks presence (the page can
@@ -783,10 +922,7 @@ let rec fault_in t g ~gpa ~host_context k =
     | 2 (* present *) -> after t 0 k
     | 1 (* ballooned *) -> invalid_arg "Hostmm.fault_in: ballooned page"
     | 0 (* not backed *) ->
-        let _, cost =
-          alloc_frame t g ~gpa ~content:Content.Zero ~named:false ~active:true
-            ~referenced:true
-        in
+        let cost = alloc_anon t g ~gpa Content.Zero in
         after t (t.config.minor_fault_us + cost) k
     | _ (* in swap / in image *) ->
         let key = owner_key ~gid:g.gid ~gpa in
@@ -881,199 +1017,28 @@ and drain_pending t g =
     (Queue.pop g.pending_faults) ()
   done
 
-(* Swap-in with cluster readahead: one request covers the naturally
-   aligned cluster around [slot]; every slot in it that still backs a
-   swapped-out page is installed.  Decayed sequentiality shows up here:
-   when neighbouring slots hold unrelated pages, the prefetch wins
-   nothing and every page pays a full random read. *)
-and swapin_cluster t g ~gpa ~slot ~host_context k =
-  count_fault t ~host_context;
-  let cluster = max 1 (1 lsl t.config.page_cluster) in
-  let s0 = slot - (slot mod cluster) in
-  let s_end = min (s0 + cluster) (Storage.Swap_area.nslots t.swap) in
-  let neighbours = ref [] in
-  for s = s_end - 1 downto s0 do
-    if s <> slot then begin
-      let owner = Itbl.find t.slot_owner s ~default:(-1) in
-      if
-        owner >= 0
-        && (not (inflight_mem t owner))
-        (* One request has one latency model: readahead never spans
-           backend tiers (constant-true in passthrough mode). *)
-        && Storage.Tiers.same_tier t.tiers slot s
-      then begin
-        let e = (guest t (owner_gid owner)).ept.(owner_gpa owner) in
-        if e land 7 = 3 && e_arg e = s then
-          neighbours := (s, owner) :: !neighbours
-      end
-    end
-  done;
-  (* Prefetch at most the free-frame headroom beyond the target page. *)
-  let headroom = max 0 (Frames.nfree t.frames - 1) in
-  let rec take n = function
-    | [] -> []
-    | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-  in
-  let neighbours = take headroom !neighbours in
-  let marked =
-    List.map (fun (s, owner) -> (s, owner, inflight_add t owner)) neighbours
-  in
-  let slots = slot :: List.map (fun (s, _) -> s) neighbours in
-  let smin = List.fold_left min slot slots in
-  let smax = List.fold_left max slot slots in
-  let sector = Storage.Swap_area.sector_of_slot t.swap smin in
-  let nsectors = (smax - smin + 1) * page_sectors in
-  t.stats.swap_sectors_read <-
-    t.stats.swap_sectors_read + (List.length slots * page_sectors);
-  let finish_neighbours ~install =
-    List.iter
-      (fun (s, owner, widx) ->
-        if install then install_from_swap t ~slot:s ~owner ~target:false;
-        let waiters = inflight_take t owner widx in
-        List.iter (fun w -> w ()) waiters)
-      marked
-  in
-  let install_target () =
-    install_from_swap t ~slot ~owner:(owner_key ~gid:g.gid ~gpa) ~target:true;
-    after t t.config.major_fault_us k
-  in
-  (* Retries cover the faulting page only: the prefetched neighbours are
-     best-effort and were already released on the first failure. *)
-  let rec retry ~attempt =
-    Storage.Tiers.swap_in t.tiers ~slot
-      ~sector:(Storage.Swap_area.sector_of_slot t.swap slot)
-      ~nsectors:page_sectors ~queue:g.gid ~attempt
-      (fun (reply : Storage.Disk.reply) ->
-        match reply.result with
-        | Ok () -> install_target ()
-        | Error err ->
-            handle_read_error t g ~swap_read:true ~err ~attempt ~retry
-              ~give_up:k)
-  in
-  Storage.Tiers.swap_in t.tiers ~slot ~sector ~nsectors ~queue:g.gid ~attempt:0
-    (fun (reply : Storage.Disk.reply) ->
-      match reply.result with
-      | Ok () ->
-          install_from_swap t ~slot
-            ~owner:(owner_key ~gid:g.gid ~gpa)
-            ~target:true;
-          finish_neighbours ~install:true;
-          after t t.config.major_fault_us k
-      | Error err ->
-          finish_neighbours ~install:false;
-          if nsectors = page_sectors then
-            (* The cluster was just the target page; the error is its. *)
-            handle_read_error t g ~swap_read:true ~err ~attempt:0 ~retry
-              ~give_up:k
-          else
-            (* The failing sector may belong to a prefetched neighbour;
-               narrow to the target page before charging the guest a
-               retry. *)
-            retry ~attempt:0)
-
-(* Fault on a Mapper-discarded page: re-read from the disk image, with
-   readahead over the consecutive run of tracked blocks — which stays
-   sequential forever, the Mapper's answer to decayed sequentiality. *)
-and refetch_image t g ~gpa ~block ~host_context k =
-  count_fault t ~host_context;
-  let disk_id = Storage.Vdisk.id g.vdisk in
-  let window =
-    Mapper.readahead_window g.mapper ~disk:disk_id ~block
-      ~max:t.config.image_readahead_pages
-  in
-  let headroom = ref (max 0 (Frames.nfree t.frames - 1)) in
-  let installs = ref [] in
-  List.iter
-    (fun (b, gpas) ->
-      List.iter
-        (fun p ->
-          if p <> gpa && !headroom > 0 then begin
-            let e = g.ept.(p) in
-            if
-              e land 7 = 4
-              && e_arg e = b
-              && not (inflight_mem t (owner_key ~gid:g.gid ~gpa:p))
-            then begin
-              decr headroom;
-              let widx = inflight_add t (owner_key ~gid:g.gid ~gpa:p) in
-              installs := (b, p, widx) :: !installs
-            end
-          end)
-        gpas)
-    window;
-  let installs = List.rev !installs in
-  let last_block =
-    List.fold_left (fun acc (b, _, _) -> max acc b) block installs
-  in
-  let nblocks = last_block - block + 1 in
-  let sector = Storage.Vdisk.sector_of_block g.vdisk block in
-  let finish_readahead ~install =
-    List.iter
-      (fun (b, p, widx) ->
-        if install then install_from_image t g ~gpa:p ~block:b ~target:false;
-        let waiters = inflight_take t (owner_key ~gid:g.gid ~gpa:p) widx in
-        List.iter (fun w -> w ()) waiters)
-      installs
-  in
-  (* Retries re-read the faulting block only; readahead is best-effort
-     and was released on the first failure. *)
-  let rec retry ~attempt =
-    Storage.Disk.submit t.disk ~sector ~nsectors:page_sectors
-      ~kind:Storage.Disk.Read ~queue:g.gid ~attempt
-      (fun (reply : Storage.Disk.reply) ->
-        match reply.result with
-        | Ok () ->
-            install_from_image t g ~gpa ~block ~target:true;
-            after t (t.config.major_fault_us + t.config.mapper_map_page_us) k
-        | Error err ->
-            handle_read_error t g ~swap_read:false ~err ~attempt ~retry
-              ~give_up:k)
-  in
-  Storage.Disk.submit t.disk ~sector ~nsectors:(nblocks * page_sectors)
-    ~kind:Storage.Disk.Read ~queue:g.gid
-    (fun (reply : Storage.Disk.reply) ->
-      match reply.result with
-      | Ok () ->
-          install_from_image t g ~gpa ~block ~target:true;
-          finish_readahead ~install:true;
-          let map_cost =
-            (1 + List.length installs) * t.config.mapper_map_page_us
-          in
-          after t (t.config.major_fault_us + map_cost) k
-      | Error err ->
-          finish_readahead ~install:false;
-          if nblocks = 1 then
-            handle_read_error t g ~swap_read:false ~err ~attempt:0 ~retry
-              ~give_up:k
-          else retry ~attempt:0)
-
 (* ------------------------------------------------------------------ *)
 (* Guest-context accesses                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply a CPU store to a present page: private-mapping COW semantics
-   break the Mapper association and retype the page anonymous. *)
-let apply_write_present t g ~gpa ~full ~gen =
-  let e = g.ept.(gpa) in
-  if e land 7 <> 2 then assert false
-  else begin
-    let frame = e_arg e in
-    let base = Frames.content t.frames frame in
-    let c = if full then Content.Anon gen else Content.combine base gen in
-    let cost =
-      if Frames.named t.frames frame then begin
-        Mapper.untrack g.mapper ~gpa;
-        Frames.set_named t.frames frame false;
-        Cgroup.move g.cgroup Cgroup.Anon_active frame;
-        t.config.cow_exit_us
-      end
-      else 0
-    in
-    drop_swap_backing t frame;
-    Frames.set_content t.frames frame c;
-    Frames.set_referenced t.frames frame true;
-    cost
-  end
+(* Store [content] into the present page [gpa]: private-mapping COW
+   semantics break the Mapper association and retype the page anonymous.
+   Returns the COW exit cost. *)
+let overwrite_present t g ~gpa content =
+  let frame = e_arg g.ept.(gpa) in
+  let cost =
+    if Frames.named t.frames frame then begin
+      Mapper.untrack g.mapper ~gpa;
+      Frames.set_named t.frames frame false;
+      Cgroup.move g.cgroup Cgroup.Anon_active frame;
+      t.config.cow_exit_us
+    end
+    else 0
+  in
+  drop_swap_backing t frame;
+  Frames.set_content t.frames frame content;
+  Frames.set_referenced t.frames frame true;
+  cost
 
 (* Merge a (possibly expired/abandoned) Preventer buffer with the page's
    old content: fault the old bytes in, then overlay generation [gen]. *)
@@ -1081,25 +1046,14 @@ let rec apply_merge t g ~gpa ~gen ~host_context k =
   let e = g.ept.(gpa) in
   match e land 7 with
   | 2 (* present *) ->
-      let frame = e_arg e in
-      let base = Frames.content t.frames frame in
-      if Frames.named t.frames frame then begin
-        Mapper.untrack g.mapper ~gpa;
-        Frames.set_named t.frames frame false;
-        Cgroup.move g.cgroup Cgroup.Anon_active frame
-      end;
-      drop_swap_backing t frame;
-      Frames.set_content t.frames frame (Content.combine base gen);
-      Frames.set_referenced t.frames frame true;
+      let base = Frames.content t.frames (e_arg e) in
+      ignore (overwrite_present t g ~gpa (Content.combine base gen));
       after t 0 k
   | 3 (* in swap *) | 4 (* in image *) ->
       fault_in t g ~gpa ~host_context (fun () ->
           apply_merge t g ~gpa ~gen ~host_context k)
   | 0 (* not backed *) ->
-      ignore
-        (alloc_frame t g ~gpa
-           ~content:(Content.combine Content.Zero gen)
-           ~named:false ~active:true ~referenced:true);
+      ignore (alloc_anon t g ~gpa (Content.combine Content.Zero gen));
       after t 0 k
   | _ (* ballooned *) -> after t 0 k
 
@@ -1149,10 +1103,7 @@ let touch_read t ~guest:gid ~gpa k =
           after t 0 (fun () -> k c)
       | 1 (* ballooned *) -> invalid_arg "Hostmm.touch_read: ballooned page"
       | 0 (* not backed *) ->
-          let _, cost =
-            alloc_frame t g ~gpa ~content:Content.Zero ~named:false
-              ~active:true ~referenced:true
-          in
+          let cost = alloc_anon t g ~gpa Content.Zero in
           after t (t.config.minor_fault_us + cost) (fun () -> k Content.Zero)
       | _ (* in swap / in image *) ->
           if t.vs.preventer && Preventer.is_buffered g.preventer ~gpa then begin
@@ -1185,19 +1136,18 @@ let touch_write t ~guest:gid ~gpa ~offset ~len ~gen ~intent_full_page k =
   let rec attempt () =
     if g.killed then after t 0 k
     else
-      match g.ept.(gpa) land 7 with
+      let e = g.ept.(gpa) in
+      match e land 7 with
       | 2 (* present *) ->
-          let cost = apply_write_present t g ~gpa ~full ~gen in
-          after t cost k
+          let base = Frames.content t.frames (e_arg e) in
+          let c = if full then Content.Anon gen else Content.combine base gen in
+          after t (overwrite_present t g ~gpa c) k
       | 1 (* ballooned *) -> invalid_arg "Hostmm.touch_write: ballooned page"
       | 0 (* not backed *) ->
-          let content =
+          let c =
             if full then Content.Anon gen else Content.combine Content.Zero gen
           in
-          let _, cost =
-            alloc_frame t g ~gpa ~content ~named:false ~active:true
-              ~referenced:true
-          in
+          let cost = alloc_anon t g ~gpa c in
           after t (t.config.minor_fault_us + cost) k
       | _ (* in swap / in image *) ->
           if t.vs.preventer then
@@ -1207,10 +1157,7 @@ let touch_write t ~guest:gid ~gpa ~offset ~len ~gen ~intent_full_page k =
             with
             | Preventer.Completed ->
                 discard_backing t g ~gpa;
-                let _, cost =
-                  alloc_frame t g ~gpa ~content:(Content.Anon gen) ~named:false
-                    ~active:true ~referenced:true
-                in
+                let cost = alloc_anon t g ~gpa (Content.Anon gen) in
                 after t (t.config.emulated_write_us + cost) k
             | Preventer.Buffered { first_write } ->
                 Itbl.set g.pending_gen gpa gen;
@@ -1236,29 +1183,11 @@ let rep_write t ~guest:gid ~gpa ~content k =
   let rec attempt () =
     if g.killed then after t 0 k
     else
-      let e = g.ept.(gpa) in
-      match e land 7 with
-      | 2 (* present *) ->
-          let frame = e_arg e in
-          let cost =
-            if Frames.named t.frames frame then begin
-              Mapper.untrack g.mapper ~gpa;
-              Frames.set_named t.frames frame false;
-              Cgroup.move g.cgroup Cgroup.Anon_active frame;
-              t.config.cow_exit_us
-            end
-            else 0
-          in
-          drop_swap_backing t frame;
-          Frames.set_content t.frames frame content;
-          Frames.set_referenced t.frames frame true;
-          after t cost k
+      match g.ept.(gpa) land 7 with
+      | 2 (* present *) -> after t (overwrite_present t g ~gpa content) k
       | 1 (* ballooned *) -> invalid_arg "Hostmm.rep_write: ballooned page"
       | 0 (* not backed *) ->
-          let _, cost =
-            alloc_frame t g ~gpa ~content ~named:false ~active:true
-              ~referenced:true
-          in
+          let cost = alloc_anon t g ~gpa content in
           after t (t.config.minor_fault_us + cost) k
       | _ (* in swap / in image *) ->
           if t.vs.preventer then begin
@@ -1267,10 +1196,7 @@ let rep_write t ~guest:gid ~gpa ~content k =
             Preventer.on_rep_write g.preventer ~gpa;
             Itbl.remove g.pending_gen gpa;
             discard_backing t g ~gpa;
-            let _, cost =
-              alloc_frame t g ~gpa ~content ~named:false ~active:true
-                ~referenced:true
-            in
+            let cost = alloc_anon t g ~gpa content in
             after t (t.config.emulated_write_us + cost) k
           end
           else begin
@@ -1338,59 +1264,34 @@ let vio_read t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
   let n = Array.length gpas in
   if n = 0 || g.killed then after t 0 k
   else begin
-    let base_cost =
-      t.config.vio_overhead_us + hv_touch t g t.config.hv_touch_per_vio
+    let cost =
+      ref (t.config.vio_overhead_us + hv_touch t g t.config.hv_touch_per_vio)
     in
-    let sector = Storage.Vdisk.sector_of_block g.vdisk block0 in
     let mapper_path = t.vs.mapper && t.vs.report_4k_sectors && aligned in
+    let read () =
+      read_retrying t g ~swap_read:false ~give_up:k ~attempt:0
+        ~submit:(read_image t g ~target:block0 ~first:block0 ~pages:n)
+        ~ok:(fun () ->
+          if g.killed then after t 0 k
+          else begin
+            Array.iteri
+              (fun i gpa ->
+                let block = block0 + i in
+                if mapper_path then
+                  cost := !cost + install_file_page t g ~gpa ~block
+                else force_dma_install t g ~gpa ~block)
+              gpas;
+            after t !cost k
+          end)
+    in
     if mapper_path then begin
       (* mmap path: destinations are simply remapped; no fault-in. *)
       Array.iter (fun gpa -> discard_backing t g ~gpa) gpas;
-      let rec submit ~attempt =
-        Storage.Disk.submit t.disk ~sector ~nsectors:(n * page_sectors)
-          ~kind:Storage.Disk.Read ~queue:g.gid ~attempt
-          (fun (reply : Storage.Disk.reply) ->
-            match reply.result with
-            | Ok () when g.killed -> after t 0 k
-            | Ok () ->
-                let cost = ref base_cost in
-                Array.iteri
-                  (fun i gpa ->
-                    cost :=
-                      !cost + install_file_page t g ~gpa ~block:(block0 + i))
-                  gpas;
-                after t !cost k
-            | Error err ->
-                handle_read_error t g ~swap_read:false ~err ~attempt
-                  ~retry:(fun ~attempt -> submit ~attempt)
-                  ~give_up:k)
-      in
-      submit ~attempt:0
+      read ()
     end
     else begin
       (* Baseline: the destination buffers must be resident before the
          device can DMA into them — the stale-read pathology. *)
-      let cost = ref base_cost in
-      let submit () =
-        let rec go ~attempt =
-          Storage.Disk.submit t.disk ~sector ~nsectors:(n * page_sectors)
-            ~kind:Storage.Disk.Read ~queue:g.gid ~attempt
-            (fun (reply : Storage.Disk.reply) ->
-              match reply.result with
-              | Ok () when g.killed -> after t 0 k
-              | Ok () ->
-                  Array.iteri
-                    (fun i gpa ->
-                      force_dma_install t g ~gpa ~block:(block0 + i))
-                    gpas;
-                  after t !cost k
-              | Error err ->
-                  handle_read_error t g ~swap_read:false ~err ~attempt
-                    ~retry:(fun ~attempt -> go ~attempt)
-                    ~give_up:k)
-        in
-        go ~attempt:0
-      in
       let faults = ref [] in
       Array.iter
         (fun gpa ->
@@ -1403,19 +1304,16 @@ let vio_read t ?(aligned = true) ~guest:gid ~block0 ~gpas k =
                   ~active:false ~referenced:true
               in
               cost := !cost + t.config.minor_fault_us + c
-          | 3 (* in swap *) ->
-              t.stats.stale_reads <- t.stats.stale_reads + 1;
-              faults := gpa :: !faults
-          | 4 (* in image *) ->
-              (* A misaligned request while the Mapper is active: the
-                 discarded page must be faulted back in just to be
+          | 3 (* in swap *) | 4 (* in image *) ->
+              (* In image: a misaligned request while the Mapper is
+                 active must fault the discarded page back in just to be
                  DMA-overwritten — still a stale read. *)
               t.stats.stale_reads <- t.stats.stale_reads + 1;
               faults := gpa :: !faults
           | _ (* ballooned *) ->
               invalid_arg "Hostmm.vio_read: ballooned page")
         gpas;
-      let done_one = join t (List.length !faults) submit in
+      let done_one = join t (List.length !faults) read in
       List.iter
         (fun gpa -> fault_in t g ~gpa ~host_context:true done_one)
         !faults
@@ -1557,7 +1455,6 @@ let balloon_return t ~guest:gid ~gpa =
 (* ------------------------------------------------------------------ *)
 
 let free_frames t = Frames.nfree t.frames
-let total_frames t = Frames.nframes t.frames
 let resident t gid = Cgroup.resident (guest t gid).cgroup
 let mapper_tracked t gid = Mapper.tracked (guest t gid).mapper
 let gpa_pages t gid = Array.length (guest t gid).ept
@@ -1569,11 +1466,6 @@ let page_state t ~guest:gid ~gpa =
   | 3 -> In_swap
   | 4 -> In_image
   | _ -> Ballooned
-
-let frame_content t ~guest:gid ~gpa =
-  let g = guest t gid in
-  let e = g.ept.(gpa) in
-  if e land 7 = 2 then Some (Frames.content t.frames (e_arg e)) else None
 
 let vdisk t gid = (guest t gid).vdisk
 
@@ -1673,10 +1565,28 @@ let relocate_slot t slot =
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
+  let inflight = ref 0 in
   for gid = 0 to t.nguests - 1 do
     match t.guests.(gid) with
     | None -> ()
     | Some g ->
+        if g.inflight_faults < 0 then
+          fail "guest %d: %d in-flight faults" gid g.inflight_faults;
+        inflight := !inflight + g.inflight_faults;
+        (* The Mapper's reverse index (block -> gpas) must list every
+           tracked page, or a block write would skip its preserve step. *)
+        let pairs = ref 0 in
+        Mapper.iter g.mapper (fun gpa (b : Mapper.backing) ->
+            incr pairs;
+            if
+              not
+                (List.mem gpa
+                   (Mapper.gpas_of_block g.mapper ~disk:b.disk ~block:b.block))
+            then
+              fail "guest %d gpa %d: block %d does not list it" gid gpa b.block);
+        if !pairs <> Mapper.tracked g.mapper then
+          fail "guest %d: mapper visits %d pages, counts %d" gid !pairs
+            (Mapper.tracked g.mapper);
         Array.iteri
           (fun gpa e ->
             match e land 7 with
@@ -1738,4 +1648,12 @@ let check_invariants t =
                       fail "guest %d gpa %d: in-image version stale" gid gpa
                 | _ -> fail "guest %d gpa %d: in-image but untracked" gid gpa))
           g.ept
-  done
+  done;
+  if !inflight <> t.inflight_targets then
+    fail "in-flight target faults: %d machine-wide, %d summed over guests"
+      t.inflight_targets !inflight;
+  (* Every target fault holds a registry entry; readahead neighbours hold
+     the rest. *)
+  if Itbl.length t.inflight_idx < t.inflight_targets then
+    fail "in-flight registry holds %d keys for %d target faults"
+      (Itbl.length t.inflight_idx) t.inflight_targets

@@ -151,7 +151,6 @@ val balloon_return : t -> guest:guest_id -> gpa:int -> unit
 (** {2 Introspection} *)
 
 val free_frames : t -> int
-val total_frames : t -> int
 val resident : t -> guest_id -> int
 val mapper_tracked : t -> guest_id -> int
 
@@ -159,7 +158,6 @@ val mapper_tracked : t -> guest_id -> int
     in pages (the [gpa_pages] it was registered with). *)
 val gpa_pages : t -> guest_id -> int
 val page_state : t -> guest:guest_id -> gpa:int -> page_state
-val frame_content : t -> guest:guest_id -> gpa:int -> Storage.Content.t option
 val vdisk : t -> guest_id -> Storage.Vdisk.t
 
 (** Migration-oriented view of one guest page (used by [lib/migration],
@@ -211,7 +209,7 @@ val set_swapin_probe : t -> (gid:guest_id -> us:int -> unit) option -> unit
 val relocate_slot : t -> int -> bool
 
 (** [check_invariants t] walks all guests asserting internal consistency
-    (EPT <-> frame-owner agreement, Mapper version freshness, swap-slot
-    ownership).  Raises [Failure] with a description on violation; meant
-    for tests. *)
+    (EPT <-> frame-owner agreement, Mapper version freshness and reverse
+    index, swap-slot ownership, in-flight fault accounting).  Raises
+    [Failure] with a description on violation; meant for tests. *)
 val check_invariants : t -> unit
