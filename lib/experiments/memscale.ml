@@ -14,10 +14,11 @@
    and the measured live-heap delta attributable to the machine.
 
    The heap panels are measured with [Gc.full_major]/[Gc.stat] on the
-   running domain, so their exact values vary with allocator state and
-   job placement — every such line contains the word "heap", and the
-   memscale-smoke rule filters those lines before comparing serial vs
-   parallel stdout.  The fault panels are deterministic as usual.
+   running domain.  The machine is built and run serially on that
+   domain, so the live-heap delta is deterministic: the memscale-smoke
+   rule filters only lines containing the word "heap" (titles and the
+   verdict), and the data rows of panels (c) and (d) are gated like the
+   fault panels — adding a word to a per-machine record moves them.
 
    The shared VSWAPPER_SMOKE=1 cap (honored by every heavyweight sweep)
    clamps the guest-count grid to [1; 2]; VSWAPPER_BENCH_SCALE scales
@@ -124,7 +125,7 @@ let run ~scale =
        metadata plane (variant EPT + hashtables + per-node LRU records)
        sat well above 100 words/page, so anything in the low tens means
        the flat layout is doing its job.  Contains "heap", so the smoke
-       filter drops it along with the other nondeterministic lines. *)
+       filter drops it. *)
     let worst =
       List.fold_left (fun acc p -> Float.max acc (words_per_page p)) 0.0 points
     in

@@ -501,6 +501,158 @@ let vdisk_version_counts_writes =
       = List.init 16 (fun b -> Storage.Vdisk.version vd b))
 
 (* ------------------------------------------------------------------ *)
+(* Write-buffer runs                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference model for the differential: the write buffer as the disk
+   kept it before [Storage.Runs], a sorted list of disjoint (start, len)
+   runs that every insert rebuilds, every cover check scans and every
+   take folds over in full. *)
+module Ref_runs = struct
+  type t = (int * int) list
+
+  let empty = []
+  let cardinal = List.length
+
+  let add runs ~start ~len =
+    let merged = ref 0 in
+    let placed = ref 0 in
+    let rec insert acc s e = function
+      | [] ->
+          placed := e - s;
+          List.rev ((s, e - s) :: acc)
+      | ((rs, rl) as run) :: rest ->
+          let re = rs + rl in
+          if re < s then insert (run :: acc) s e rest
+          else if rs > e then begin
+            placed := e - s;
+            List.rev_append acc ((s, e - s) :: run :: rest)
+          end
+          else begin
+            merged := !merged + rl;
+            insert acc (min s rs) (max e re) rest
+          end
+    in
+    let runs = insert [] start (start + len) runs in
+    (runs, !placed - !merged)
+
+  let covers runs ~start ~len =
+    List.exists (fun (rs, rl) -> start >= rs && start + len <= rs + rl) runs
+
+  let take runs ~head ~limit =
+    let best =
+      List.fold_left
+        (fun acc ((rs, rl) as run) ->
+          let re = rs + rl in
+          let dist =
+            if head >= rs && head <= re then 0
+            else min (abs (rs - head)) (abs (re - head))
+          in
+          match acc with
+          | None -> Some (dist, run)
+          | Some (bd, _) -> if dist < bd then Some (dist, run) else acc)
+        None runs
+    in
+    Option.map
+      (fun (_, ((rs, rl) as run)) ->
+        let re = rs + rl in
+        let start = if head > rs && head < re then head else rs in
+        let chunk = min (re - start) limit in
+        let left = start - rs in
+        let right = re - (start + chunk) in
+        let runs =
+          List.concat_map
+            (fun r ->
+              if r = run then
+                (if left > 0 then [ (rs, left) ] else [])
+                @ if right > 0 then [ (start + chunk, right) ] else []
+              else [ r ])
+            runs
+        in
+        (runs, start, chunk))
+      best
+end
+
+type runs_op =
+  | Add of int * int
+  | Covers of int * int
+  | Take of int * int
+
+(* Random add / cover / take traces over a small sector universe, so
+   adjacent and overlapping adds, heads inside a run and heads equally
+   far from two runs are all common, must agree step by step: the
+   sectors an add newly dirtied, the cover answer, the chunk taken and
+   the run count.  Draining both sets from sector 0 with a sweeping head
+   then compares what is left chunk by chunk, which pins the whole set. *)
+let runs_differential =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun s n -> Add (s, n)) (int_range 0 512) (int_range 1 16));
+          ( 2,
+            map2 (fun s n -> Covers (s, n)) (int_range 0 512) (int_range 1 16)
+          );
+          (2, map2 (fun h m -> Take (h, m)) (int_range 0 528) (int_range 1 32));
+        ])
+  in
+  let show = function
+    | Add (s, n) -> Printf.sprintf "Add(%d,%d)" s n
+    | Covers (s, n) -> Printf.sprintf "Covers(%d,%d)" s n
+    | Take (h, m) -> Printf.sprintf "Take(%d,%d)" h m
+  in
+  QCheck.Test.make ~name:"runs: ordered map agrees with the list reference"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       QCheck.Gen.(list_size (int_range 1 120) op_gen))
+    (fun ops ->
+      let module R = Storage.Runs in
+      let chunk = function
+        | None -> None
+        | Some (_, start, len) -> Some (start, len)
+      in
+      let step (runs, refr) op =
+        let runs, refr =
+          match op with
+          | Add (start, len) ->
+              let runs, d = R.add runs ~start ~len in
+              let refr, d' = Ref_runs.add refr ~start ~len in
+              if d <> d' then
+                QCheck.Test.fail_reportf "add delta %d, ref %d" d d';
+              (runs, refr)
+          | Covers (start, len) ->
+              let c = R.covers runs ~start ~len
+              and c' = Ref_runs.covers refr ~start ~len in
+              if c <> c' then QCheck.Test.fail_reportf "covers %b, ref %b" c c';
+              (runs, refr)
+          | Take (head, limit) -> (
+              let r = R.take runs ~head ~limit
+              and r' = Ref_runs.take refr ~head ~limit in
+              if chunk r <> chunk r' then
+                QCheck.Test.fail_reportf "take chunks differ at head %d" head;
+              match (r, r') with
+              | Some (runs, _, _), Some (refr, _, _) -> (runs, refr)
+              | _ -> (runs, refr))
+        in
+        if R.cardinal runs <> Ref_runs.cardinal refr then
+          QCheck.Test.fail_reportf "cardinal %d, ref %d" (R.cardinal runs)
+            (Ref_runs.cardinal refr);
+        (runs, refr)
+      in
+      let runs, refr = List.fold_left step (R.empty, Ref_runs.empty) ops in
+      let rec drain head runs refr =
+        match
+          (R.take runs ~head ~limit:8, Ref_runs.take refr ~head ~limit:8)
+        with
+        | None, None -> R.is_empty runs
+        | Some (runs, s, n), Some (refr, s', n') when s = s' && n = n' ->
+            drain (s + n) runs refr
+        | _ -> false
+      in
+      drain 0 runs refr)
+
+(* ------------------------------------------------------------------ *)
 (* Multi-queue (NVMe-style) disk                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1052,6 +1204,7 @@ let tests =
         qcheck disk_service_monotone;
         qcheck disk_every_read_completes_once;
       ] );
+    ("storage:runs", [ qcheck runs_differential ]);
     ( "storage:multiqueue",
       [
         Alcotest.test_case "parallel service faster" `Quick
