@@ -24,8 +24,11 @@
 
     Writes are acknowledged almost immediately into a write buffer (the
     drive cache plus host writeback behaves this way); buffered writes
-    are merged into contiguous runs and flushed to the media when no read
-    is waiting — or eagerly once the buffer exceeds its cap, at which
+    are kept as an ordered map of disjoint, non-adjacent runs ({!Runs}),
+    so inserting a write, checking a read against the buffer and picking
+    the next destage chunk each cost O(log n) in the run count even when
+    random swap-outs fragment the buffer into thousands of one-page
+    runs.  Runs are flushed to the media when no read is waiting — or eagerly once the buffer exceeds its cap, at which
     point writes do delay reads, which is how heavy swap-out traffic
     hurts swap-in latency.  Destaging flushes from the head position when
     the head sits inside the chosen run (continuing the sweep instead of
